@@ -28,16 +28,16 @@ class ConcentratorSpec:
     psi: float
 
     def __post_init__(self) -> None:
-        if not self.a_pd > 0.0:
-            raise ValueError("a_pd must be positive")
+        if not 0.0 < self.a_pd < math.inf:
+            raise ValueError("a_pd must be positive and finite")
         if not 0.0 < self.psi_c <= math.pi / 2.0:
             raise ValueError("psi_c must be in (0, pi/2]")
-        if self.n_c < 1.0:
-            raise ValueError("n_c must be >= 1")
+        if not 1.0 <= self.n_c < math.inf:
+            raise ValueError("n_c must be >= 1 and finite")
         if not 0.0 < self.t_s <= 1.0:
             raise ValueError("t_s must be in (0, 1]")
-        if self.psi < 0.0:
-            raise ValueError("psi must be non-negative")
+        if not 0.0 <= self.psi < math.inf:
+            raise ValueError("psi must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("b", "t", "r_il", "i_bk", "gamma"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def concentrator_gain(spec: ConcentratorSpec) -> float:

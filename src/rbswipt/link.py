@@ -34,13 +34,6 @@ def _dark_result(status: str, eta_shg: float = 0.0) -> LinkResult:
                       r_b=0.0, v_mpp=0.0, eta_shg=eta_shg, status=status)
 
 
-def _stage(name: str, func, *args, **kwargs):
-    try:
-        return func(*args, **kwargs)
-    except RuntimeError as exc:
-        raise RuntimeError(f"{name}: {exc}") from exc
-
-
 def evaluate_link(params: SystemParams) -> LinkResult:
     """Evaluate the full transfer chain for one configuration."""
     geom = params.geometry
@@ -53,9 +46,8 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     w0 = optics.beam_radius(geom, abcd, gain.a_g, gain.lam, 0.0).w
     gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, abcd,
                                               gain.a_g, gain.lam)
-    sol = _stage("intracavity solver", resonator.solve_intracavity,
-                 gain, params.shg, params.loss, params.p_in, w0,
-                 gamma_diff, geom.d)
+    sol = resonator.solve_intracavity(gain, params.shg, params.loss,
+                                      params.p_in, w0, gamma_diff, geom.d)
     if sol.status != "lasing":
         return _dark_result(sol.status, eta_shg=sol.eta_shg)
 
@@ -69,7 +61,7 @@ def evaluate_link(params: SystemParams) -> LinkResult:
                                      gamma_l2=params.gamma_l2,
                                      gamma_air=gamma_air)
     i_ph = pv.photo_current(params.pv, p_recv_pt)
-    op = _stage("maximum power point search", pv.mppt, params.pv, i_ph)
+    op = pv.mppt(params.pv, i_ph)
 
     # information channel: doubled carrier back through the cavity to the detector
     gamma_pd = params.gamma_pd

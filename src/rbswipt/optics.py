@@ -65,12 +65,13 @@ class CavityGeometry:
     d: float
 
     def __post_init__(self) -> None:
-        if not self.f > 0.0:
-            raise ValueError(f"focal length f must be positive, got {self.f}")
-        if not self.l > 0.0:
-            raise ValueError(f"lens-mirror interval l must be positive, got {self.l}")
-        if not self.d >= 0.0:
-            raise ValueError(f"gap d must be non-negative, got {self.d}")
+        if not 0.0 < self.f < math.inf:
+            raise ValueError(f"focal length f must be positive and finite, got {self.f}")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError(
+                f"lens-mirror interval l must be positive and finite, got {self.l}")
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError(f"gap d must be non-negative and finite, got {self.d}")
 
     @property
     def z_l1(self) -> float:

@@ -108,8 +108,8 @@ class SystemParams:
                 raise ValueError(f"gamma_pd must be a number or 'auto', got {gpd!r}")
         elif not 0.0 < float(gpd) <= 1.0:
             raise ValueError(f"gamma_pd must be in (0, 1], got {gpd}")
-        if self.p_in < 0.0:
-            raise ValueError(f"p_in must be non-negative, got {self.p_in}")
+        if not 0.0 <= self.p_in < math.inf:
+            raise ValueError(f"p_in must be non-negative and finite, got {self.p_in}")
 
     @property
     def geometry(self) -> CavityGeometry:
@@ -201,7 +201,7 @@ def _parse_value(key: str, raw: str, where: str) -> float | int | str:
         else:
             raise ConfigError(f"{where}: unknown unit {unit!r} for '{key}'")
     if key in _INT_FIELDS:
-        if number != int(number):
+        if not number.is_integer():
             raise ConfigError(f"{where}: '{key}' must be an integer")
         return int(number)
     return number

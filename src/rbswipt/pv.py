@@ -44,9 +44,9 @@ class PVSpec:
 
     def __post_init__(self) -> None:
         for name in ("rho", "i0", "r_sh", "r_s", "n", "t"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_s < 1:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 1 <= self.n_s < math.inf:
             raise ValueError("n_s must be >= 1")
 
     @property

@@ -6,8 +6,8 @@ by equivalent amplitude reflection coefficients r1 (transmitter side, lumping
 coatings, the doubling crystal and its conversion loss) and r2 (receiver side,
 lumping the gain medium transmittance, air, coatings and diffraction
 spillover).  The doubling efficiency depends on the circulating power, which
-in turn depends on the conversion loss, so the pair (P4, eta) is solved as a
-damped fixed point.
+in turn depends on the conversion loss, so the pair (P4, eta) is solved as
+one root in eta: g(eta) = K * P4(eta) - eta, strictly decreasing on [0, 1).
 
 Traveling-wave power stations around the loop: P4 is the wave incident on the
 transmitter-side equivalent mirror, P1 = r1^2 * P4 its reflection, P2 =
@@ -41,8 +41,8 @@ class GainMediumSpec:
 
     def __post_init__(self) -> None:
         for name in ("i_s", "a_g", "l_g", "eta_c", "gamma_g", "lam"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.eta_c > 1.0 or self.gamma_g > 1.0:
             raise ValueError("eta_c and gamma_g must be <= 1")
 
@@ -62,11 +62,11 @@ class SHGSpec:
     gamma_shg: float
 
     def __post_init__(self) -> None:
-        if self.d_eff < 0.0:
-            raise ValueError("d_eff must be non-negative")
+        if not 0.0 <= self.d_eff < math.inf:
+            raise ValueError("d_eff must be non-negative and finite")
         for name in ("l_s", "n0", "gamma_shg"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.n0 <= 1.0:
             raise ValueError("n0 must exceed 1")
         if self.gamma_shg > 1.0:
@@ -95,8 +95,8 @@ class LossBudget:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.alpha_air < 0.0:
-            raise ValueError("alpha_air must be non-negative")
+        if not 0.0 <= self.alpha_air < math.inf:
+            raise ValueError("alpha_air must be non-negative and finite")
         if isinstance(self.gamma_diff, str):
             if not self.gamma_diff.startswith("model:"):
                 raise ValueError(
@@ -207,6 +207,12 @@ def shg_conversion_coefficient(shg: SHGSpec, lam: float) -> float:
     )
 
 
+def _warn_high_conversion(eta: float) -> None:
+    if eta > 0.1:
+        warnings.warn(f"doubling efficiency {eta:.3g} exceeds the low-conversion "
+                      "assumption", stacklevel=3)
+
+
 def shg_efficiency(shg: SHGSpec, p4: float, w0: float, lam: float) -> float:
     """Doubling efficiency for circulating power p4 focused to radius w0.
 
@@ -218,11 +224,7 @@ def shg_efficiency(shg: SHGSpec, p4: float, w0: float, lam: float) -> float:
     if not w0 > 0.0:
         raise ValueError("w0 must be positive")
     eta = shg_conversion_coefficient(shg, lam) * 2.0 * p4 / (math.pi * w0 * w0)
-    if eta > 0.1:
-        warnings.warn(
-            f"doubling efficiency {eta:.3g} exceeds the low-conversion assumption",
-            stacklevel=2,
-        )
+    _warn_high_conversion(eta)
     return eta
 
 
@@ -268,48 +270,48 @@ def solve_intracavity(
     w0: float,
     gamma_diff: float,
     d: float,
-    damping: float = 0.5,
-    rel_tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> IntracavitySolution:
-    """Solve the coupled (P4, eta) power balance by damped fixed-point iteration.
+    """Solve the coupled (P4, eta) power balance as one root in eta.
 
     w0 is the multimode beam radius at the doubling crystal and gamma_diff the
-    already-resolved diffraction factor.  Iterates
-    eta <- eta + damping * (shg_efficiency(P4(eta)) - eta) until the relative
-    change of P4 drops below rel_tol.  A pump below the eta = 0 threshold
-    returns an all-zero solution with status 'below_threshold' (the zero-loss
-    reflectances are kept so the threshold stays reconstructable).
+    already-resolved diffraction factor.  eta solves g(eta) = K*P4(eta) - eta
+    = 0, K = shg_conversion_coefficient * 2/(pi*w0^2), by bisection of [0, 1]
+    to bracket collapse; the lower end is returned, where P4 > 0.  A pump
+    below the eta = 0 threshold returns an all-zero solution with status
+    'below_threshold' (the zero-loss reflectances are kept so the threshold
+    stays reconstructable).
     """
-    eta = 0.0
-    p4_prev = None
-    for _ in range(max_iter):
-        r1, r2 = equivalent_reflectances(loss, shg, gain, eta, d, gamma_diff)
-        p4 = rigrod_p4(gain, r1, r2, p_in)
-        if p4 <= 0.0:
-            return IntracavitySolution(
-                p1=0.0, p2=0.0, p3=0.0, p4=0.0, eta_shg=0.0,
-                r1=r1, r2=r2, p_c=0.0, status="below_threshold",
-            )
-        if p4_prev is not None and abs(p4 - p4_prev) <= rel_tol * abs(p4):
-            p2 = (r1 / r2) * p4
-            return IntracavitySolution(
-                p1=r1 * r1 * p4,
-                p2=p2,
-                p3=r2 * r2 * p2,
-                p4=p4,
-                eta_shg=eta,
-                r1=r1,
-                r2=r2,
-                p_c=2.0 * eta * p4,
-                status="lasing",
-            )
-        p4_prev = p4
-        eta_target = shg_efficiency(shg, p4, w0, gain.lam)
-        eta = eta + damping * (eta_target - eta)
-        # conversion cannot exceed unity; keeps transient iterates in-domain
-        eta = min(eta, 1.0 - 1e-12)
-    raise RuntimeError(
-        f"intracavity power balance did not converge in {max_iter} iterations "
-        f"(last P4 = {p4_prev}, eta = {eta})"
+    r1, r2 = equivalent_reflectances(loss, shg, gain, 0.0, d, gamma_diff)
+    p4 = rigrod_p4(gain, r1, r2, p_in)
+    if p4 <= 0.0:
+        return IntracavitySolution(
+            p1=0.0, p2=0.0, p3=0.0, p4=0.0, eta_shg=0.0,
+            r1=r1, r2=r2, p_c=0.0, status="below_threshold",
+        )
+    k = shg_conversion_coefficient(shg, gain.lam) * 2.0 / (math.pi * w0 * w0)
+    eta, hi = 0.0, 1.0  # g(eta) > 0 >= g(hi) throughout
+    # Any point of the bracket can be the first trial; the undepleted K*P4(0)
+    # lies just above the root wherever conversion lowers P4, and with K = 0
+    # it ends the search at eta = 0 without a step.
+    mid = min(k * p4, 0.5)
+    while eta < mid < hi:
+        r1_mid, r2_mid = equivalent_reflectances(loss, shg, gain, mid, d, gamma_diff)
+        p4_mid = rigrod_p4(gain, r1_mid, r2_mid, p_in)
+        if k * p4_mid > mid:
+            eta, r1, r2, p4 = mid, r1_mid, r2_mid, p4_mid
+        else:
+            hi = mid
+        mid = 0.5 * (eta + hi)
+    _warn_high_conversion(eta)
+    p2 = (r1 / r2) * p4
+    return IntracavitySolution(
+        p1=r1 * r1 * p4,
+        p2=p2,
+        p3=r2 * r2 * p2,
+        p4=p4,
+        eta_shg=eta,
+        r1=r1,
+        r2=r2,
+        p_c=2.0 * eta * p4,
+        status="lasing",
     )

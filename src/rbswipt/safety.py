@@ -47,8 +47,8 @@ class SafetySpec:
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
         for name in ("d_e", "a_g", "lam"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def absorbed_pump_power(spec: SafetySpec, p_in: float) -> float:

@@ -50,9 +50,9 @@ class SweepSpec:
         object.__setattr__(self, "axis", canonical_axis(self.axis))
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
-        if not self.vmin < self.vmax:
-            raise ConfigError(
-                f"sweep range must satisfy min < max, got [{self.vmin}, {self.vmax}]")
+        if not -np.inf < self.vmin < self.vmax < np.inf:
+            raise ConfigError("sweep range must be finite with min < max, "
+                              f"got [{self.vmin}, {self.vmax}]")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.vmin, self.vmax, self.steps)

@@ -1,5 +1,6 @@
 """Configuration record, unit-suffixed config parsing and defaults dump."""
 
+import dataclasses
 import math
 
 import pytest
@@ -52,6 +53,10 @@ def test_validation_rejects_out_of_range():
         SystemParams(gamma_pd=1.5)
     with pytest.raises(ValueError):
         SystemParams(gamma_diff="pupil")  # needs the model: prefix
+    for field in dataclasses.fields(SystemParams):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                SystemParams(**{field.name: value})
     assert SystemParams(gamma_pd=0.5).gamma_pd == 0.5
     assert SystemParams(gamma_diff="model:pupil").gamma_diff == "model:pupil"
 
@@ -112,6 +117,8 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("f =")
     with pytest.raises(ConfigError, match="integer"):
         parse_config_text("n_s = 1.5")
+    with pytest.raises(ConfigError, match="integer"):
+        parse_config_text("n_s = inf")
 
 
 def test_load_params(tmp_path):

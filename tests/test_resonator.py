@@ -1,12 +1,14 @@
 """Intracavity power balance, doubling efficiency and loss bookkeeping."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rbswipt.constants import C_LIGHT, EPSILON_0
-from rbswipt.optics import CavityGeometry, single_pass_abcd
+from rbswipt.optics import CavityGeometry, beam_radius, single_pass_abcd
 from rbswipt.resonator import (
     GainMediumSpec,
     LossBudget,
@@ -201,10 +203,10 @@ def test_solve_intracavity_reference_solution():
     gd = reference_gamma_diff()
     sol = solve_intracavity(GAIN, SHG, LOSS, 60.0, W0, gd, GEOM.d)
     assert sol.status == "lasing"
-    assert math.isclose(sol.p4, 63.13267802278353, rel_tol=1e-12)
-    assert math.isclose(sol.eta_shg, 0.0033656774104948778, rel_tol=1e-12)
-    assert math.isclose(sol.p_c, 0.4249684565706579, rel_tol=1e-12)
-    assert math.isclose(sol.r1, 0.9743562361617962, rel_tol=1e-12)
+    assert math.isclose(sol.p4, 63.13267801847667, rel_tol=1e-12)
+    assert math.isclose(sol.eta_shg, 0.003365677413573774, rel_tol=1e-12)
+    assert math.isclose(sol.p_c, 0.4249684569304248, rel_tol=1e-12)
+    assert math.isclose(sol.r1, 0.9743562361587862, rel_tol=1e-12)
     assert math.isclose(sol.r2, 0.9321200853730065, rel_tol=1e-12)
 
 
@@ -252,12 +254,6 @@ def test_solve_intracavity_below_threshold():
                              GEOM.d).status == "lasing"
 
 
-def test_solve_intracavity_iteration_cap():
-    gd = reference_gamma_diff()
-    with pytest.raises(RuntimeError):
-        solve_intracavity(GAIN, SHG, LOSS, 60.0, W0, gd, GEOM.d, max_iter=1)
-
-
 def test_solve_intracavity_monotone_in_losses():
     gd = reference_gamma_diff()
     p_ref = solve_intracavity(GAIN, SHG, LOSS, 60.0, W0, gd, GEOM.d).p4
@@ -265,3 +261,87 @@ def test_solve_intracavity_monotone_in_losses():
                          alpha_air=1e-4)
     assert solve_intracavity(GAIN, SHG, lossier, 60.0, W0, gd, GEOM.d).p4 < p_ref
     assert solve_intracavity(GAIN, SHG, LOSS, 60.0, W0, 0.99 * gd, GEOM.d).p4 < p_ref
+
+
+def _bisection_oracle(gain, shg, loss, p_in, w0, gd, d):
+    """(status, eta, P4) from the model equations alone: bisection of
+    g(eta) = K*P4(eta) - eta over [0, 1] until the bracket collapses."""
+    r1_0 = shg.gamma_shg * math.sqrt(loss.gamma_l1**2 * loss.r_m1)
+    r2 = (gain.gamma_g * math.exp(-loss.alpha_air * d)
+          * math.sqrt(loss.gamma_l2**2 * loss.r_m2 * gd))
+    drive = gain.eta_c * p_in / (gain.i_s * math.pi * gain.a_g**2)
+
+    def p4(eta):
+        r1 = (1.0 - eta) * r1_0
+        bracket = drive + math.log(r1 * r2)
+        if bracket <= 0.0:
+            return 0.0
+        return (math.pi * gain.a_g**2 * gain.i_s * bracket
+                / ((1.0 + r1 / r2) * (1.0 - r1 * r2)))
+
+    if p4(0.0) <= 0.0:
+        return "below_threshold", 0.0, 0.0
+    k = (16.0 * math.pi * shg.d_eff**2 * shg.l_s**2
+         / (EPSILON_0 * C_LIGHT * gain.lam**2 * shg.n0**3 * w0 * w0))
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return "lasing", lo, p4(lo)
+        if k * p4(mid) > mid:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_solve_intracavity_matches_bisection_oracle():
+    # strong-conversion crystals, a strong crystal at high pump (eta ~ 0.27),
+    # no doubling at all, pumps under threshold, and the end of lasing
+    # 0.1 m short of the stability limit
+    cases = [(d, l_s, d_eff, p_in)
+             for d in (6.0, 11.9)
+             for l_s in (0.4e-3, 3e-3, 4e-3, 5e-3, 6e-3)
+             for d_eff in (0.0, 4.7e-12, 50e-12)
+             for p_in in (20.0, 60.0, 200.0)]
+    seen = set()
+    for d, l_s, d_eff, p_in in cases:
+        geom = CavityGeometry(f=0.03, l=0.03015, d=d)
+        abcd = single_pass_abcd(geom)
+        w0 = beam_radius(geom, abcd, GAIN.a_g, GAIN.lam, 0.0).w
+        gd = diffraction_loss(geom, abcd, GAIN.a_g, GAIN.lam)
+        shg = dataclasses.replace(SHG, l_s=l_s, d_eff=d_eff)
+        status, eta, p4 = _bisection_oracle(GAIN, shg, LOSS, p_in, w0, gd, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = solve_intracavity(GAIN, shg, LOSS, p_in, w0, gd, d)
+        case = (d, l_s, d_eff, p_in)
+        assert sol.status == status, case
+        assert math.isclose(sol.eta_shg, eta, rel_tol=1e-12), case
+        # near the end of lasing P4 is a small difference of terms of order
+        # p_in, so it carries their rounding as an absolute error
+        assert math.isclose(sol.p4, p4, rel_tol=1e-12, abs_tol=1e-12 * p_in), case
+        # one warning on the root, none from trial points
+        assert len(caught) == (eta > 0.1), case
+        if status == "lasing":
+            assert sol.p4 > 0.0 and sol.p2 > 0.0, case
+        if d_eff == 0.0:
+            assert sol.eta_shg == 0.0 and sol.p_c == 0.0, case
+        seen.add((status, eta > 0.1))
+    assert seen == {("below_threshold", False), ("lasing", False), ("lasing", True)}
+
+    # the named cases: lasing at l_s = 5 mm with no warning, and one warning
+    # for d_eff = 50 pm/V at 200 W
+    w0, gd = W0, reference_gamma_diff()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_intracavity(GAIN, dataclasses.replace(SHG, l_s=5e-3), LOSS,
+                                60.0, w0, gd, GEOM.d)
+    assert sol.status == "lasing" and not caught
+    assert math.isclose(sol.eta_shg, 0.0648, rel_tol=1e-3)
+    assert math.isclose(sol.p4, 7.78, rel_tol=1e-3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_intracavity(GAIN, dataclasses.replace(SHG, d_eff=50e-12), LOSS,
+                                200.0, w0, gd, GEOM.d)
+    assert math.isclose(sol.eta_shg, 0.270, rel_tol=1e-3)
+    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)

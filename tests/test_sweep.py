@@ -43,6 +43,9 @@ def test_sweep_spec_validation():
         SweepSpec(axis="d", vmin=2.0, vmax=1.0, steps=5, params=PARAMS)
     with pytest.raises(ConfigError):
         SweepSpec(axis="q", vmin=1.0, vmax=2.0, steps=5, params=PARAMS)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ConfigError):
+            SweepSpec(axis="p_in", vmin=lo, vmax=hi, steps=3, params=PARAMS)
     spec = SweepSpec(axis="P_in", vmin=0.0, vmax=100.0, steps=11, params=PARAMS)
     assert spec.axis == "p_in"
     assert list(spec.values()) == [10.0 * k for k in range(11)]
@@ -55,6 +58,14 @@ def test_run_sweep_rows_follow_grid():
     assert statuses[:4] == ["ok"] * 4 and statuses[-1] == "unstable"
     powers = [r.p_hat_charge for _, r in rows]
     assert powers[0] > powers[-2] > 0.0 and powers[-1] == 0.0
+
+
+def test_crystal_length_sweep_lases_throughout():
+    # strong conversion lowers the circulating power but never stops lasing
+    rows = run_sweep(SweepSpec(axis="l_s", vmin=0.0001, vmax=0.006, steps=60,
+                               params=PARAMS))
+    assert [r.status for _, r in rows] == ["ok"] * 60
+    assert all(r.p_hat_charge > 0.0 and r.eta_shg > 0.0 for _, r in rows)
 
 
 def test_parallel_matches_serial():
@@ -155,6 +166,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--sweep", "d:1:2"]) == 2  # malformed token
     assert main(["--sweep", "d:2:1:5"]) == 2  # empty range
     assert main(["--sweep", "x:1:2:5"]) == 2  # unknown axis
+    assert main(["--sweep", "p_in:0:inf:3"]) == 2  # unbounded range
+    for line in ("p_in = nan", "p_in = inf", "i0 = inf"):
+        bad.write_text(line + "\n", encoding="utf-8")
+        assert main(["--config", str(bad)]) == 2, line
     assert main(["--no-such-flag"]) == 2  # argparse usage error
     err = capsys.readouterr().err
     assert "configuration error" in err
