@@ -1,51 +1,21 @@
 """Desk-scale resonant-beam simulator: simultaneous optical charging and
 communication over a self-aligning cavity formed between a transmitter and a
-retroreflecting receiver."""
+retroreflecting receiver.
 
-from .it_channel import (ConcentratorSpec, NoiseSpec, achievable_rate,
-                         concentrator_gain, effective_area, noise_variance,
-                         pd_capture_ratio, received_it_power)
+The package root exports the configuration, the link evaluation and the
+sweep; the stage models stay importable from their modules (`rbswipt.optics`,
+`rbswipt.resonator`, `rbswipt.pv`, `rbswipt.it_channel`, `rbswipt.safety`).
+"""
+
 from .link import LinkResult, evaluate_link
-from .optics import (BeamProfile, CavityGeometry, RayMatrix, beam_radius,
-                     propagation_factor, q_at, retroreflector_matrix,
-                     rr_focal_length, single_pass_abcd, stability_check,
-                     stability_product)
-from .params import (ConfigError, SystemParams, format_defaults, load_params,
-                     parse_config_text)
-from .pv import (OperatingPoint, PVSpec, kirchhoff_residuals, mppt,
-                 open_circuit_voltage, photo_current, received_pt_power,
-                 solve_operating_point, solve_operating_point_load)
-from .resonator import (GainMediumSpec, IntracavitySolution, LossBudget,
-                        SHGSpec, air_transmittance, diffraction_loss,
-                        equivalent_reflectances, lasing_threshold,
-                        plane_wave_valid, resolve_gamma_diff, rigrod_p4,
-                        shg_conversion_coefficient, shg_efficiency,
-                        solve_intracavity)
-from .safety import (SafetySpec, absorbed_pump_power, angular_subtense,
-                     load_mpe_table, max_safe_source_power,
-                     mpe_extended_source, spontaneous_irradiance)
+from .params import ConfigError, SystemParams, load_params
 from .sweep import SweepSpec, emit_csv, emit_plot_data, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ConcentratorSpec", "NoiseSpec", "achievable_rate", "concentrator_gain",
-    "effective_area", "noise_variance", "pd_capture_ratio", "received_it_power",
+    "ConfigError", "SystemParams", "load_params",
     "LinkResult", "evaluate_link",
-    "BeamProfile", "CavityGeometry", "RayMatrix", "beam_radius",
-    "propagation_factor", "q_at", "retroreflector_matrix", "rr_focal_length",
-    "single_pass_abcd", "stability_check", "stability_product",
-    "ConfigError", "SystemParams", "format_defaults", "load_params",
-    "parse_config_text",
-    "OperatingPoint", "PVSpec", "kirchhoff_residuals", "mppt",
-    "open_circuit_voltage", "photo_current", "received_pt_power",
-    "solve_operating_point", "solve_operating_point_load",
-    "GainMediumSpec", "IntracavitySolution", "LossBudget", "SHGSpec",
-    "air_transmittance", "diffraction_loss", "equivalent_reflectances",
-    "lasing_threshold", "plane_wave_valid", "resolve_gamma_diff", "rigrod_p4",
-    "shg_conversion_coefficient", "shg_efficiency", "solve_intracavity",
-    "SafetySpec", "absorbed_pump_power", "angular_subtense", "load_mpe_table",
-    "max_safe_source_power", "mpe_extended_source", "spontaneous_irradiance",
     "SweepSpec", "emit_csv", "emit_plot_data", "run_sweep",
 ]

@@ -41,11 +41,9 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     if optics.stability_check(geom) != "stable":
         return _dark_result("unstable")
 
-    abcd = optics.single_pass_abcd(geom)
     gain = params.gain
-    w0 = optics.beam_radius(geom, abcd, gain.a_g, gain.lam, 0.0).w
-    gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, abcd,
-                                              gain.a_g, gain.lam)
+    w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
+    gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
     sol = resonator.solve_intracavity(gain, params.shg, params.loss,
                                       params.p_in, w0, gamma_diff, geom.d)
     if sol.status != "lasing":
@@ -66,7 +64,7 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     # information channel: doubled carrier back through the cavity to the detector
     gamma_pd = params.gamma_pd
     if isinstance(gamma_pd, str):  # 'auto' -> concentrator capture model
-        spot = optics.beam_radius(geom, abcd, gain.a_g, gain.lam, geom.z_pv)
+        spot = optics.beam_radius(geom, gain.a_g, gain.lam, geom.z_pv)
         a_o = math.pi * spot.w ** 2
         gamma_pd = it_channel.pd_capture_ratio(
             it_channel.effective_area(params.concentrator), a_o)

@@ -4,7 +4,9 @@ The cavity is built from two telecentric cat's-eye retroreflectors (lens of
 focal length f with a mirror l behind it) facing each other across a free-space
 gap d measured between their pupils.  A single pass maps a ray through lens 1,
 the gap, and lens 2; the composite is symmetric (A = D), so the two stability
-parameters g1 = A and g2 = D coincide.
+parameters g1 = A and g2 = D coincide.  The mode follows from the geometry
+alone: `q_at`, `propagation_factor` and `beam_radius` take a `CavityGeometry`
+and build the single pass from it.
 
 Axial positions: z = 0 is the plane of the transmitter mirror (where the
 doubling crystal sits).  The lens planes and the receiver photovoltaic plane
@@ -41,19 +43,6 @@ class RayMatrix:
 
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
-
-    def apply(self, r: float, alpha: float) -> tuple[float, float]:
-        """Propagate a ray (transverse offset r, slope alpha)."""
-        return self.a * r + self.b * alpha, self.c * r + self.d * alpha
-
-    def compose(self, first: "RayMatrix") -> "RayMatrix":
-        """Matrix for `first` followed by this element (self @ first)."""
-        return RayMatrix(
-            a=self.a * first.a + self.b * first.c,
-            b=self.a * first.b + self.b * first.d,
-            c=self.c * first.a + self.d * first.c,
-            d=self.c * first.b + self.d * first.d,
-        )
 
 
 @dataclass(frozen=True)
@@ -101,17 +90,6 @@ def rr_focal_length(f: float, l: float) -> float:
     return f * f / (2.0 * (l - f))
 
 
-def retroreflector_matrix(f: float, l: float) -> RayMatrix:
-    """Ray matrix of one cat's-eye retroreflector: inversion plus weak focusing.
-
-    The c entry is the focusing strength 1/f_rr written as 2*(l-f)/f**2 so the
-    l == f case degrades gracefully to the pure inversion diag(-1, -1).
-    """
-    if f <= 0.0 or l <= 0.0:
-        raise ValueError("f and l must be positive")
-    return RayMatrix(a=-1.0, b=0.0, c=2.0 * (l - f) / (f * f), d=-1.0)
-
-
 def single_pass_abcd(geom: CavityGeometry) -> RayMatrix:
     """Single-pass ray matrix of the cavity (pupil to pupil, symmetric: A = D).
 
@@ -132,6 +110,14 @@ def stability_product(abcd: RayMatrix) -> float:
     return abcd.a * abcd.d
 
 
+def _classify(s: float) -> str:
+    if abs(s - 1.0) <= STABILITY_BOUNDARY_TOL:
+        return "marginal"
+    if 0.0 <= s < 1.0:
+        return "stable"
+    return "unstable"
+
+
 def stability_check(geom: CavityGeometry) -> str:
     """Classify the cavity: 'stable', 'marginal' or 'unstable'.
 
@@ -140,46 +126,26 @@ def stability_check(geom: CavityGeometry) -> str:
     point), so only the g1*g2 = 1 boundary is marginal.  In gap distance the
     stable range is 0 <= d <= 4*f_rr.
     """
-    s = stability_product(single_pass_abcd(geom))
-    if abs(s - 1.0) <= STABILITY_BOUNDARY_TOL:
-        return "marginal"
-    if 0.0 <= s < 1.0:
-        return "stable"
-    return "unstable"
+    return _classify(stability_product(single_pass_abcd(geom)))
 
 
-def _mode_q0(abcd: RayMatrix) -> complex:
-    """Self-consistent q at z = 0 for the round trip described by `abcd`.
-
-    q(0) = j*|B|*sqrt((g2/g1) / (1 - g1*g2)).  For the symmetric cavity
-    g1 == g2 the ratio is exactly 1, which also covers the confocal point
-    g1 = g2 = 0 where the literal quotient is indeterminate.
-    """
-    s = stability_product(abcd)
-    if abcd.a == abcd.d:
-        ratio = 1.0
-    else:
-        if abcd.a == 0.0:
-            raise ValueError("no self-consistent Gaussian mode: g1 = 0 with g1 != g2")
-        ratio = abcd.d / abcd.a
-    if ratio <= 0.0 or not 0.0 <= s < 1.0:
-        raise ValueError("no self-consistent Gaussian mode for this ray matrix")
-    return complex(0.0, abs(abcd.b) * math.sqrt(ratio / (1.0 - s)))
-
-
-def q_at(geom: CavityGeometry, abcd: RayMatrix, z: float) -> complex:
+def q_at(geom: CavityGeometry, z: float) -> complex:
     """Complex beam parameter q at axial position z in [0, z_pv].
 
-    Starts from the self-consistent q(0), then drifts (q -> q + dz) and applies
-    the thin-lens map q -> q/(-q/f + 1) at each lens plane.  A lens acts at its
-    own plane: q_at(z_lens) is the post-lens value.
+    Starts from the self-consistent q(0) of the single pass, then drifts
+    (q -> q + dz) and applies the thin-lens map q -> q/(-q/f + 1) at each lens
+    plane.  A lens acts at its own plane: q_at(z_lens) is the post-lens value.
     """
-    status = stability_check(geom)
+    abcd = single_pass_abcd(geom)
+    s = stability_product(abcd)
+    status = _classify(s)
     if status != "stable":
         raise ValueError(f"no self-consistent Gaussian mode: cavity is {status}")
     if not 0.0 <= z <= geom.z_pv:
         raise ValueError(f"z = {z} outside the modelled axis [0, {geom.z_pv}]")
-    q = _mode_q0(abcd)
+    # q(0) = j*|B|*sqrt((g2/g1) / (1 - g1*g2)); the pass is symmetric (g1 = g2),
+    # so the ratio is 1, which also covers the confocal point g1 = g2 = 0
+    q = complex(0.0, abs(abcd.b) * math.sqrt(1.0 / (1.0 - s)))
     f = geom.f
     prev = 0.0
     for z_lens in (geom.z_l1, geom.z_l2, geom.z_l3):
@@ -199,7 +165,7 @@ def fundamental_radius(q: complex, lam: float) -> float:
     return math.sqrt(-lam / (math.pi * im_inv))
 
 
-def propagation_factor(geom: CavityGeometry, abcd: RayMatrix, a_g: float, lam: float) -> float:
+def propagation_factor(geom: CavityGeometry, a_g: float, lam: float) -> float:
     """Multimode-to-fundamental radius ratio, anchored by w(l + f) = a_g.
 
     Constant along the axis.  Normally >= 1 (the multimode beam overfills the
@@ -208,7 +174,7 @@ def propagation_factor(geom: CavityGeometry, abcd: RayMatrix, a_g: float, lam: f
     """
     if not a_g > 0.0:
         raise ValueError("gain aperture radius a_g must be positive")
-    return a_g / fundamental_radius(q_at(geom, abcd, geom.l + geom.f), lam)
+    return a_g / fundamental_radius(q_at(geom, geom.l + geom.f), lam)
 
 
 @dataclass(frozen=True)
@@ -220,10 +186,8 @@ class BeamProfile:
     propagation_factor: float
 
 
-def beam_radius(
-    geom: CavityGeometry, abcd: RayMatrix, a_g: float, lam: float, z: float
-) -> BeamProfile:
+def beam_radius(geom: CavityGeometry, a_g: float, lam: float, z: float) -> BeamProfile:
     """Fundamental and multimode beam radii at axial position z."""
-    m = propagation_factor(geom, abcd, a_g, lam)
-    w00 = fundamental_radius(q_at(geom, abcd, z), lam)
+    m = propagation_factor(geom, a_g, lam)
+    w00 = fundamental_radius(q_at(geom, z), lam)
     return BeamProfile(w00=w00, w=m * w00, propagation_factor=m)

@@ -164,36 +164,6 @@ def solve_operating_point(spec: PVSpec, i_ph: float, v_charge: float) -> Operati
     )
 
 
-def solve_operating_point_load(spec: PVSpec, i_ph: float, r_pl: float) -> OperatingPoint:
-    """Circuit state with a prescribed load resistance (v_d = i*(r_pl + r_s)).
-
-    Equivalent parameterization of the same circuit; agrees with the
-    voltage-driven solve for r_pl = v_charge/i.
-    """
-    if i_ph < 0.0 or r_pl < 0.0:
-        raise ValueError("i_ph and r_pl must be non-negative")
-    if i_ph == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0, r_pl)
-
-    def current(v_d: float) -> float:
-        return i_ph - _diode_current(spec, v_d) - v_d / spec.r_sh
-
-    def residual(v_d: float) -> float:
-        return current(v_d) * (r_pl + spec.r_s) - v_d
-
-    hi = spec.n_s * spec.n * spec.thermal_voltage * math.log1p(i_ph / spec.i0) + i_ph * spec.r_s
-    v_d = _bisect(residual, 0.0, hi)
-    i = current(v_d)
-    return OperatingPoint(
-        v_charge=i * r_pl,
-        i_charge=i,
-        p_charge=i * i * r_pl,
-        v_d=v_d,
-        i_d=_diode_current(spec, v_d),
-        r_pl=r_pl,
-    )
-
-
 def open_circuit_voltage(spec: PVSpec, i_ph: float) -> float:
     """Terminal voltage at zero charging current: i_ph = i_d(v) + v/r_sh."""
     if i_ph < 0.0:

@@ -14,6 +14,11 @@ transmitter-side equivalent mirror, P1 = r1^2 * P4 its reflection, P2 =
 (r1/r2) * P4 the wave incident on the receiver-side mirror, P3 = r2^2 * P2 its
 reflection; P1*P4 = P2*P3 is an exact invariant.  The frequency-doubled
 carrier leaves the crystal with power P_c = 2 * eta * P4 (both directions).
+
+The diffraction factor follows from the cavity geometry alone:
+resolve_gamma_diff(loss, geom, a_g, lam) and diffraction_loss(geom, a_g, lam,
+model) take a CavityGeometry, and the 'pupil' model builds the beam there with
+optics.beam_radius.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPSILON_0
-from .optics import CavityGeometry, RayMatrix, beam_radius
+from .optics import CavityGeometry, beam_radius
 
 
 @dataclass(frozen=True)
@@ -73,14 +78,17 @@ class SHGSpec:
             raise ValueError("gamma_shg must be <= 1")
 
 
+DIFFRACTION_MODELS = ("model:farfield", "model:pupil")
+
+
 @dataclass(frozen=True)
 class LossBudget:
     """Round-trip loss factors at the lasing wavelength.
 
     gamma_l1/gamma_l2: lens transmittances; r_m1/r_m2: mirror reflectivities;
     alpha_air: air attenuation [1/m]; gamma_diff: diffraction spillover factor,
-    either a constant in (0, 1] or a model name 'model:farfield' /
-    'model:pupil' resolved per geometry by resolve_gamma_diff.
+    either a constant in (0, 1] or one of DIFFRACTION_MODELS, resolved per
+    geometry by resolve_gamma_diff.
     """
 
     gamma_l1: float
@@ -98,10 +106,9 @@ class LossBudget:
         if not 0.0 <= self.alpha_air < math.inf:
             raise ValueError("alpha_air must be non-negative and finite")
         if isinstance(self.gamma_diff, str):
-            if not self.gamma_diff.startswith("model:"):
-                raise ValueError(
-                    f"gamma_diff string must be 'model:<name>', got {self.gamma_diff!r}"
-                )
+            if self.gamma_diff not in DIFFRACTION_MODELS:
+                raise ValueError(f"gamma_diff must be a number or one of "
+                                 f"{', '.join(DIFFRACTION_MODELS)}, got {self.gamma_diff!r}")
         elif not 0.0 < float(self.gamma_diff) <= 1.0:
             raise ValueError(f"gamma_diff must be in (0, 1], got {self.gamma_diff}")
 
@@ -131,11 +138,7 @@ def air_transmittance(alpha_air: float, d: float) -> float:
 
 
 def diffraction_loss(
-    geom: CavityGeometry,
-    abcd: RayMatrix,
-    a_g: float,
-    lam: float,
-    model: str = "farfield",
+    geom: CavityGeometry, a_g: float, lam: float, model: str = "farfield"
 ) -> float:
     """Per-pass fraction of the beam captured by the receiving aperture a_g.
 
@@ -153,7 +156,7 @@ def diffraction_loss(
     if model == "farfield":
         w = lam * geom.d / (math.pi * a_g)
     elif model == "pupil":
-        w = beam_radius(geom, abcd, a_g, lam, geom.l + geom.f + geom.d).w
+        w = beam_radius(geom, a_g, lam, geom.l + geom.f + geom.d).w
     else:
         raise ValueError(f"unknown diffraction-loss model {model!r}")
     if w == 0.0:
@@ -162,13 +165,13 @@ def diffraction_loss(
 
 
 def resolve_gamma_diff(
-    loss: LossBudget, geom: CavityGeometry, abcd: RayMatrix, a_g: float, lam: float
+    loss: LossBudget, geom: CavityGeometry, a_g: float, lam: float
 ) -> float:
     """Resolve the diffraction factor: user constant passes through unchanged,
-    'model:<name>' strings dispatch to diffraction_loss."""
+    a DIFFRACTION_MODELS name dispatches to diffraction_loss."""
     gd = loss.gamma_diff
     if isinstance(gd, str):
-        return diffraction_loss(geom, abcd, a_g, lam, model=gd.removeprefix("model:"))
+        return diffraction_loss(geom, a_g, lam, model=gd.removeprefix("model:"))
     return float(gd)
 
 

@@ -53,6 +53,13 @@ class SweepSpec:
         if not -np.inf < self.vmin < self.vmax < np.inf:
             raise ConfigError("sweep range must be finite with min < max, "
                               f"got [{self.vmin}, {self.vmax}]")
+        # every range check on a swept field is an interval, so valid end
+        # points make the whole grid valid
+        for value in (self.vmin, self.vmax):
+            try:
+                dataclasses.replace(self.params, **{self.axis: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 
     def values(self) -> np.ndarray:
         return np.linspace(self.vmin, self.vmax, self.steps)

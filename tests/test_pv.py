@@ -15,7 +15,6 @@ from rbswipt.pv import (
     photo_current,
     received_pt_power,
     solve_operating_point,
-    solve_operating_point_load,
 )
 from rbswipt.resonator import IntracavitySolution
 
@@ -101,22 +100,6 @@ def test_current_monotone_decreasing_in_voltage():
     currents = [solve_operating_point(SPEC, I_PH, float(v)).i_charge
                 for v in voltages]
     assert all(a > b for a, b in zip(currents, currents[1:]))
-
-
-def test_voltage_and_load_parameterizations_agree():
-    rng = np.random.default_rng(777)
-    for _ in range(10):
-        spec = random_spec(rng)
-        i_ph = rng.uniform(0.05, 0.8)
-        v_oc = open_circuit_voltage(spec, i_ph)
-        by_v = solve_operating_point(spec, i_ph, rng.uniform(0.05, 0.95) * v_oc)
-        by_r = solve_operating_point_load(spec, i_ph, by_v.r_pl)
-        assert math.isclose(by_r.v_charge, by_v.v_charge, rel_tol=1e-9)
-        assert math.isclose(by_r.i_charge, by_v.i_charge, rel_tol=1e-9)
-        assert math.isclose(by_r.p_charge, by_v.p_charge, rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        solve_operating_point_load(SPEC, I_PH, -1.0)
-    assert solve_operating_point_load(SPEC, 0.0, 10.0).p_charge == 0.0
 
 
 def test_open_circuit_voltage():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rbswipt.constants import C_LIGHT, EPSILON_0
-from rbswipt.optics import CavityGeometry, beam_radius, single_pass_abcd
+from rbswipt.optics import CavityGeometry, beam_radius
 from rbswipt.resonator import (
     GainMediumSpec,
     LossBudget,
@@ -31,12 +31,11 @@ SHG = SHGSpec(d_eff=4.7e-12, l_s=0.4e-3, n0=2.23, gamma_shg=0.99)
 LOSS = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                   alpha_air=1e-4)
 GEOM = CavityGeometry(f=0.03, l=0.03015, d=6.0)
-ABCD = single_pass_abcd(GEOM)
 W0 = 9.999999996875e-06  # multimode radius at the crystal for the reference setup
 
 
 def reference_gamma_diff() -> float:
-    return diffraction_loss(GEOM, ABCD, GAIN.a_g, GAIN.lam, model="farfield")
+    return diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="farfield")
 
 
 # ------------------------------------------------------------------ validation
@@ -56,6 +55,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                    alpha_air=1e-4, gamma_diff="farfield")  # missing model: prefix
+    with pytest.raises(ValueError):
+        LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
+                   alpha_air=1e-4, gamma_diff="model:nearfield")  # unknown model
     with pytest.raises(ValueError):
         LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                    alpha_air=1e-4, gamma_diff=1.5)
@@ -78,7 +80,7 @@ def test_air_transmittance():
 def test_diffraction_loss_farfield_closed_form():
     # capture of a centred Gaussian by a circular aperture: 1 - exp(-2 a^2/w^2),
     # cross-checked against radial integration of the intensity profile
-    gd = diffraction_loss(GEOM, ABCD, GAIN.a_g, GAIN.lam, model="farfield")
+    gd = diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="farfield")
     assert math.isclose(gd, 0.999568967316199, rel_tol=1e-12)
     w = GAIN.lam * GEOM.d / (math.pi * GAIN.a_g)
     r = np.linspace(0.0, GAIN.a_g, 4097)
@@ -90,28 +92,28 @@ def test_diffraction_loss_farfield_closed_form():
 
 
 def test_diffraction_loss_models_and_limits():
-    assert diffraction_loss(CavityGeometry(0.03, 0.03015, 0.0), ABCD,
+    assert diffraction_loss(CavityGeometry(0.03, 0.03015, 0.0),
                             GAIN.a_g, GAIN.lam, model="farfield") == 1.0
-    gd_pupil = diffraction_loss(GEOM, ABCD, GAIN.a_g, GAIN.lam, model="pupil")
+    gd_pupil = diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="pupil")
     assert math.isclose(gd_pupil, 0.6321113620724551, rel_tol=1e-12)
     # longer gap, weaker capture
-    far = [diffraction_loss(CavityGeometry(0.03, 0.03015, d), ABCD, GAIN.a_g,
+    far = [diffraction_loss(CavityGeometry(0.03, 0.03015, d), GAIN.a_g,
                             GAIN.lam, model="farfield") for d in (2.0, 6.0, 10.0)]
     assert far[0] > far[1] > far[2]
     with pytest.raises(ValueError):
-        diffraction_loss(GEOM, ABCD, GAIN.a_g, GAIN.lam, model="nearfield")
+        diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="nearfield")
 
 
 def test_resolve_gamma_diff_dispatch():
-    assert resolve_gamma_diff(LOSS, GEOM, ABCD, GAIN.a_g, GAIN.lam) == \
+    assert resolve_gamma_diff(LOSS, GEOM, GAIN.a_g, GAIN.lam) == \
         reference_gamma_diff()
     const = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                       alpha_air=1e-4, gamma_diff=0.97)
-    assert resolve_gamma_diff(const, GEOM, ABCD, GAIN.a_g, GAIN.lam) == 0.97
+    assert resolve_gamma_diff(const, GEOM, GAIN.a_g, GAIN.lam) == 0.97
     pupil = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                        alpha_air=1e-4, gamma_diff="model:pupil")
-    assert resolve_gamma_diff(pupil, GEOM, ABCD, GAIN.a_g, GAIN.lam) == \
-        diffraction_loss(GEOM, ABCD, GAIN.a_g, GAIN.lam, model="pupil")
+    assert resolve_gamma_diff(pupil, GEOM, GAIN.a_g, GAIN.lam) == \
+        diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="pupil")
 
 
 def test_equivalent_reflectances_composition():
@@ -306,9 +308,8 @@ def test_solve_intracavity_matches_bisection_oracle():
     seen = set()
     for d, l_s, d_eff, p_in in cases:
         geom = CavityGeometry(f=0.03, l=0.03015, d=d)
-        abcd = single_pass_abcd(geom)
-        w0 = beam_radius(geom, abcd, GAIN.a_g, GAIN.lam, 0.0).w
-        gd = diffraction_loss(geom, abcd, GAIN.a_g, GAIN.lam)
+        w0 = beam_radius(geom, GAIN.a_g, GAIN.lam, 0.0).w
+        gd = diffraction_loss(geom, GAIN.a_g, GAIN.lam)
         shg = dataclasses.replace(SHG, l_s=l_s, d_eff=d_eff)
         status, eta, p4 = _bisection_oracle(GAIN, shg, LOSS, p_in, w0, gd, d)
         with warnings.catch_warnings(record=True) as caught:

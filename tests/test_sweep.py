@@ -46,6 +46,9 @@ def test_sweep_spec_validation():
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ConfigError):
             SweepSpec(axis="p_in", vmin=lo, vmax=hi, steps=3, params=PARAMS)
+    for axis, lo, hi in (("r_m2", 0.5, 1.5), ("d", -1.0, 5.0), ("l_s", 0.0, 1e-3)):
+        with pytest.raises(ConfigError):  # an end point outside the field's range
+            SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=3, params=PARAMS)
     spec = SweepSpec(axis="P_in", vmin=0.0, vmax=100.0, steps=11, params=PARAMS)
     assert spec.axis == "p_in"
     assert list(spec.values()) == [10.0 * k for k in range(11)]
@@ -167,7 +170,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--sweep", "d:2:1:5"]) == 2  # empty range
     assert main(["--sweep", "x:1:2:5"]) == 2  # unknown axis
     assert main(["--sweep", "p_in:0:inf:3"]) == 2  # unbounded range
-    for line in ("p_in = nan", "p_in = inf", "i0 = inf"):
+    assert main(["--sweep", "r_m2:0.5:1.5:3"]) == 2  # end point out of range
+    assert main(["--sweep", "d:-1:5:3"]) == 2  # start point out of range
+    for line in ("p_in = nan", "p_in = inf", "i0 = inf", "gamma_diff = model:nearfield"):
         bad.write_text(line + "\n", encoding="utf-8")
         assert main(["--config", str(bad)]) == 2, line
     assert main(["--no-such-flag"]) == 2  # argparse usage error
