@@ -132,4 +132,5 @@ def achievable_rate(spec: NoiseSpec, p_recv_it: float) -> float:
         return 0.0
     signal = spec.gamma * p_recv_it
     snr = signal * signal / (2.0 * math.pi * math.e * noise_variance(spec, p_recv_it))
-    return 0.5 * math.log2(1.0 + snr)
+    # log1p keeps a weak carrier's rate: 1 + snr rounds to 1 for snr < 2**-53
+    return 0.5 * math.log1p(snr) / math.log(2.0)

@@ -5,8 +5,8 @@ focal length f with a mirror l behind it) facing each other across a free-space
 gap d measured between their pupils.  A single pass maps a ray through lens 1,
 the gap, and lens 2; the composite is symmetric (A = D), so the two stability
 parameters g1 = A and g2 = D coincide.  The mode follows from the geometry
-alone: `q_at`, `propagation_factor` and `beam_radius` take a `CavityGeometry`
-and build the single pass from it.
+alone: `q_at`, `propagation_factor` and `beam_radius` take a `CavityGeometry`,
+build the single pass from it and solve q(0) once per call.
 
 Axial positions: z = 0 is the plane of the transmitter mirror (where the
 doubling crystal sits).  The lens planes and the receiver photovoltaic plane
@@ -129,23 +129,22 @@ def stability_check(geom: CavityGeometry) -> str:
     return _classify(stability_product(single_pass_abcd(geom)))
 
 
-def q_at(geom: CavityGeometry, z: float) -> complex:
-    """Complex beam parameter q at axial position z in [0, z_pv].
-
-    Starts from the self-consistent q(0) of the single pass, then drifts
-    (q -> q + dz) and applies the thin-lens map q -> q/(-q/f + 1) at each lens
-    plane.  A lens acts at its own plane: q_at(z_lens) is the post-lens value.
-    """
+def _mode_q0(geom: CavityGeometry) -> complex:
+    """Self-consistent q(0) of the single pass; raises unless the cavity is stable."""
     abcd = single_pass_abcd(geom)
     s = stability_product(abcd)
     status = _classify(s)
     if status != "stable":
         raise ValueError(f"no self-consistent Gaussian mode: cavity is {status}")
-    if not 0.0 <= z <= geom.z_pv:
-        raise ValueError(f"z = {z} outside the modelled axis [0, {geom.z_pv}]")
     # q(0) = j*|B|*sqrt((g2/g1) / (1 - g1*g2)); the pass is symmetric (g1 = g2),
     # so the ratio is 1, which also covers the confocal point g1 = g2 = 0
-    q = complex(0.0, abs(abcd.b) * math.sqrt(1.0 / (1.0 - s)))
+    return complex(0.0, abs(abcd.b) * math.sqrt(1.0 / (1.0 - s)))
+
+
+def _propagate(geom: CavityGeometry, q: complex, z: float) -> complex:
+    """Carry q(0) to axial position z: drifts, and thin lenses at their planes."""
+    if not 0.0 <= z <= geom.z_pv:
+        raise ValueError(f"z = {z} outside the modelled axis [0, {geom.z_pv}]")
     f = geom.f
     prev = 0.0
     for z_lens in (geom.z_l1, geom.z_l2, geom.z_l3):
@@ -155,6 +154,16 @@ def q_at(geom: CavityGeometry, z: float) -> complex:
         q = q / (-q / f + 1.0)
         prev = z_lens
     return q + (z - prev)
+
+
+def q_at(geom: CavityGeometry, z: float) -> complex:
+    """Complex beam parameter q at axial position z in [0, z_pv].
+
+    Starts from the self-consistent q(0) of the single pass, then drifts
+    (q -> q + dz) and applies the thin-lens map q -> q/(-q/f + 1) at each lens
+    plane.  A lens acts at its own plane: q_at(z_lens) is the post-lens value.
+    """
+    return _propagate(geom, _mode_q0(geom), z)
 
 
 def fundamental_radius(q: complex, lam: float) -> float:
@@ -172,9 +181,7 @@ def propagation_factor(geom: CavityGeometry, a_g: float, lam: float) -> float:
     fundamental mode); for very long gaps the anchor drives it below 1, which
     is tolerated as part of the approximation.
     """
-    if not a_g > 0.0:
-        raise ValueError("gain aperture radius a_g must be positive")
-    return a_g / fundamental_radius(q_at(geom, geom.l + geom.f), lam)
+    return beam_radius(geom, a_g, lam, geom.l + geom.f).propagation_factor
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,14 @@ class BeamProfile:
 
 
 def beam_radius(geom: CavityGeometry, a_g: float, lam: float, z: float) -> BeamProfile:
-    """Fundamental and multimode beam radii at axial position z."""
-    m = propagation_factor(geom, a_g, lam)
-    w00 = fundamental_radius(q_at(geom, z), lam)
+    """Fundamental and multimode beam radii at axial position z.
+
+    One q(0) is carried to the anchor plane l + f (see `propagation_factor`)
+    and to z.
+    """
+    if not a_g > 0.0:
+        raise ValueError("gain aperture radius a_g must be positive")
+    q0 = _mode_q0(geom)
+    m = a_g / fundamental_radius(_propagate(geom, q0, geom.l + geom.f), lam)
+    w00 = fundamental_radius(_propagate(geom, q0, z), lam)
     return BeamProfile(w00=w00, w=m * w00, propagation_factor=m)

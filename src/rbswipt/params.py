@@ -2,8 +2,9 @@
 
 SystemParams is a flat record of every scalar the simulator needs (geometry,
 gain medium, doubling crystal, coatings, receiver optics, noise, photovoltaic
-cell, safety, pump power), with properties assembling the per-module spec
-objects.  Field names double as config keys.
+cell, safety, pump power).  Field names double as config keys.  The per-module
+spec objects are built and validated once, when the parameters are
+constructed, and kept as attributes outside the dataclass fields.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -32,7 +33,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SystemParams:
     """Complete simulator configuration; defaults describe the reference
-    desk-scale design (1064 nm resonant beam, 532 nm carrier)."""
+    desk-scale design (1064 nm resonant beam, 532 nm carrier).
+
+    Attributes `geometry`, `gain`, `shg`, `loss`, `concentrator`, `noise`,
+    `pv` and `safety` hold the spec objects built from the fields."""
 
     # cavity geometry [m]
     f: float = 0.03
@@ -95,8 +99,25 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         # spec-object constructors carry the detailed validation
-        _ = (self.geometry, self.gain, self.shg, self.loss,
-             self.concentrator, self.noise, self.pv, self.safety)
+        specs = {
+            "geometry": CavityGeometry(f=self.f, l=self.l, d=self.d),
+            "gain": GainMediumSpec(i_s=self.i_s, a_g=self.a_g, l_g=self.l_g,
+                                   eta_c=self.eta_c, gamma_g=self.gamma_g,
+                                   lam=self.lam),
+            "shg": SHGSpec(d_eff=self.d_eff, l_s=self.l_s, n0=self.n0,
+                           gamma_shg=self.gamma_shg),
+            "loss": LossBudget(gamma_l1=self.gamma_l1, gamma_l2=self.gamma_l2,
+                               r_m1=self.r_m1, r_m2=self.r_m2,
+                               alpha_air=self.alpha_air, gamma_diff=self.gamma_diff),
+            "concentrator": ConcentratorSpec(a_pd=self.a_pd, psi_c=self.psi_c,
+                                             n_c=self.n_c, t_s=self.t_s, psi=self.psi),
+            "noise": NoiseSpec(b=self.b, t=self.t, r_il=self.r_il, i_bk=self.i_bk,
+                               gamma=self.gamma),
+            "pv": PVSpec(rho=self.rho, i0=self.i0, r_sh=self.r_sh, r_s=self.r_s,
+                         n=self.n, n_s=self.n_s, t=self.t),
+            "safety": SafetySpec(eta_p=self.eta_p, eta_t=self.eta_t, eta_a=self.eta_a,
+                                 d_e=self.d_e, a_g=self.a_g, lam=self.lam),
+        }
         for name in ("gamma_l3", "gamma_l4", "r_m5_2nu", "gamma_m5_nu",
                      "gamma_m2_2nu", "gamma_g_eom", "gamma_pv"):
             v = getattr(self, name)
@@ -110,46 +131,7 @@ class SystemParams:
             raise ValueError(f"gamma_pd must be in (0, 1], got {gpd}")
         if not 0.0 <= self.p_in < math.inf:
             raise ValueError(f"p_in must be non-negative and finite, got {self.p_in}")
-
-    @property
-    def geometry(self) -> CavityGeometry:
-        return CavityGeometry(f=self.f, l=self.l, d=self.d)
-
-    @property
-    def gain(self) -> GainMediumSpec:
-        return GainMediumSpec(i_s=self.i_s, a_g=self.a_g, l_g=self.l_g,
-                              eta_c=self.eta_c, gamma_g=self.gamma_g, lam=self.lam)
-
-    @property
-    def shg(self) -> SHGSpec:
-        return SHGSpec(d_eff=self.d_eff, l_s=self.l_s, n0=self.n0,
-                       gamma_shg=self.gamma_shg)
-
-    @property
-    def loss(self) -> LossBudget:
-        return LossBudget(gamma_l1=self.gamma_l1, gamma_l2=self.gamma_l2,
-                          r_m1=self.r_m1, r_m2=self.r_m2,
-                          alpha_air=self.alpha_air, gamma_diff=self.gamma_diff)
-
-    @property
-    def concentrator(self) -> ConcentratorSpec:
-        return ConcentratorSpec(a_pd=self.a_pd, psi_c=self.psi_c, n_c=self.n_c,
-                                t_s=self.t_s, psi=self.psi)
-
-    @property
-    def noise(self) -> NoiseSpec:
-        return NoiseSpec(b=self.b, t=self.t, r_il=self.r_il, i_bk=self.i_bk,
-                         gamma=self.gamma)
-
-    @property
-    def pv(self) -> PVSpec:
-        return PVSpec(rho=self.rho, i0=self.i0, r_sh=self.r_sh, r_s=self.r_s,
-                      n=self.n, n_s=self.n_s, t=self.t)
-
-    @property
-    def safety(self) -> SafetySpec:
-        return SafetySpec(eta_p=self.eta_p, eta_t=self.eta_t, eta_a=self.eta_a,
-                          d_e=self.d_e, a_g=self.a_g, lam=self.lam)
+        vars(self).update(specs)
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))

@@ -65,23 +65,20 @@ class SweepSpec:
         return np.linspace(self.vmin, self.vmax, self.steps)
 
 
-def _eval_one(job: tuple[SystemParams, str, float]) -> LinkResult:
-    base, axis, value = job
-    return evaluate_link(dataclasses.replace(base, **{axis: value}))
-
-
 def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkResult]]:
     """Evaluate the sweep; `max_workers > 1` fans out over processes.
 
     Row order always follows the grid, independent of worker count.
     """
-    jobs = [(spec.params, spec.axis, float(v)) for v in spec.values()]
+    fields = {f.name: getattr(spec.params, f.name) for f in dataclasses.fields(spec.params)}
+    values = spec.values().tolist()
+    points = (SystemParams(**{**fields, spec.axis: v}) for v in values)
     if max_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_eval_one, jobs))
+            results = list(pool.map(evaluate_link, points))
     else:
-        results = [_eval_one(job) for job in jobs]
-    return [(job[2], res) for job, res in zip(jobs, results)]
+        results = list(map(evaluate_link, points))
+    return list(zip(values, results))
 
 
 def _fmt(x: float) -> str:

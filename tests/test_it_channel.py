@@ -99,6 +99,11 @@ def test_achievable_rate():
     snr = (0.4 * 0.010) ** 2 / (2.0 * math.pi * math.e * noise_variance(NOISE, 0.010))
     assert math.isclose(r, 0.5 * math.log2(1.0 + snr), rel_tol=1e-12)
     assert math.isclose(r, 9.307261709832101, rel_tol=1e-12)
+    # an SNR under the double epsilon keeps its rate: 0.5*snr/ln 2 to first order
+    weak = achievable_rate(NOISE, 1e-13)
+    snr = (0.4 * 1e-13) ** 2 / (2.0 * math.pi * math.e * noise_variance(NOISE, 1e-13))
+    assert snr < 2.0**-53
+    assert math.isclose(weak, 0.5 * snr / math.log(2.0), rel_tol=1e-12)
     # monotone in received power
     powers = [1e-4, 1e-3, 1e-2, 1e-1]
     rates = [achievable_rate(NOISE, p) for p in powers]

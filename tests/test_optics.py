@@ -228,3 +228,19 @@ def test_multimode_scaling_constant_along_axis():
     for z in rng.uniform(0.0, DEFAULT.z_pv, size=10):
         prof = beam_radius(DEFAULT, 2e-3, 1064e-9, float(z))
         assert abs(prof.w / prof.w00 - m_ref) <= 1e-9 * m_ref
+
+
+def test_beam_radius_matches_mode_carried_by_q_at():
+    a_g, lam = 2e-3, 1064e-9
+    for d in (0.45, 1.0, 6.0, 11.9):
+        geom = CavityGeometry(0.03, 0.03015, d)
+        m = a_g / fundamental_radius(q_at(geom, geom.l + geom.f), lam)
+        assert propagation_factor(geom, a_g, lam) == m
+        for z in (0.0, geom.l + geom.f, geom.z_pv):
+            w00 = fundamental_radius(q_at(geom, z), lam)
+            prof = beam_radius(geom, a_g, lam, z)
+            assert (prof.w00, prof.w, prof.propagation_factor) == (w00, m * w00, m)
+    # d = 0 and d = 4 f_rr are marginal, d = 13 m is unstable: no mode
+    for d in (0.0, 12.0, 13.0):
+        with pytest.raises(ValueError, match="no self-consistent Gaussian mode"):
+            beam_radius(CavityGeometry(0.03, 0.03015, d), a_g, lam, 0.0)

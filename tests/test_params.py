@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -40,8 +41,29 @@ def test_spec_object_properties_mirror_fields():
     assert p.safety.eta_a == p.eta_a and p.safety.a_g == p.a_g
 
 
+SPECS = ("geometry", "gain", "shg", "loss", "concentrator", "noise", "pv", "safety")
+
+
+def test_spec_objects_are_built_once_and_kept():
+    p = SystemParams()
+    for name in SPECS:
+        assert getattr(p, name) is getattr(p, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.geometry = p.geometry
+    assert dataclasses.replace(p, d=3.0).geometry.d == 3.0
+    q = pickle.loads(pickle.dumps(dataclasses.replace(p, r_m2=0.9)))
+    assert q == dataclasses.replace(p, r_m2=0.9) and q.loss.r_m2 == 0.9
+    # the spec objects stay out of the config keys
+    names = {f.name for f in dataclasses.fields(SystemParams)}
+    assert len(names) == 48 and names.isdisjoint(SPECS)
+    keys = [line.split(" = ")[0] for line in format_defaults().splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(SystemParams)]
+    with pytest.raises(ConfigError, match="unknown parameter"):
+        parse_config_text("geometry = 1")
+
+
 def test_validation_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r_m2 must be in \(0, 1\], got 1.5$"):
         SystemParams(r_m2=1.5)
     with pytest.raises(ValueError):
         SystemParams(gamma_pv=0.0)

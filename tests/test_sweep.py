@@ -1,13 +1,16 @@
 """Sweep execution, CSV/SVG emission and the command-line front end."""
 
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from rbswipt.cli import main
+from rbswipt.link import evaluate_link
 from rbswipt.params import ConfigError, SystemParams
 from rbswipt.sweep import (
+    AXES,
     CSV_HEADER,
     SweepSpec,
     canonical_axis,
@@ -69,6 +72,20 @@ def test_crystal_length_sweep_lases_throughout():
                                params=PARAMS))
     assert [r.status for _, r in rows] == ["ok"] * 60
     assert all(r.p_hat_charge > 0.0 and r.eta_shg > 0.0 for _, r in rows)
+
+
+GRIDS = {"d": (0.45, 13.25), "p_in": (0.0, 120.0), "r_m2": (0.5, 1.0),
+         "l_s": (0.0001, 0.006)}
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_rows_match_points_built_by_replace(axis):
+    base = SystemParams(p_in=80.0, l_s=1e-3, d=4.0)  # all three statuses across AXES
+    lo, hi = GRIDS[axis]
+    rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=base))
+    for value, result in rows:
+        point = dataclasses.replace(base, **{axis: value})
+        assert repr(result) == repr(evaluate_link(point))
 
 
 def test_parallel_matches_serial():
