@@ -16,8 +16,8 @@ import sys
 
 from .link import LinkResult, evaluate_link
 from .params import ConfigError, format_defaults, load_params
-from .safety import (absorbed_pump_power, angular_subtense, max_safe_source_power,
-                     mpe_extended_source, spontaneous_irradiance)
+from .safety import (SafetySpec, absorbed_pump_power, angular_subtense,
+                     max_safe_source_power, mpe_extended_source, spontaneous_irradiance)
 from .sweep import SweepSpec, emit_csv, emit_plot_data, run_sweep
 
 EXIT_OK = 0
@@ -67,7 +67,8 @@ def _print_link(result: LinkResult) -> None:
 
 
 def _print_safety(params) -> None:
-    spec = params.safety
+    spec = SafetySpec(eta_p=params.eta_p, eta_t=params.eta_t, eta_a=params.eta_a,
+                      d_e=params.d_e, a_g=params.a_g, lam=params.lam)
     p_a = absorbed_pump_power(spec, params.p_in)
     irr = spontaneous_irradiance(spec, params.p_in)
     alpha = angular_subtense(spec)
@@ -96,13 +97,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         params = load_params(args.config)
         if args.safety:
             _print_safety(params)
             return EXIT_OK
         if args.sweep:
             spec = _parse_sweep_token(args.sweep, params)
-            rows = run_sweep(spec, max_workers=max(1, args.jobs))
+            rows = run_sweep(spec, max_workers=args.jobs)
             if args.csv:
                 emit_csv(rows, args.csv)
                 print(f"wrote {args.csv}", file=sys.stderr)

@@ -5,8 +5,8 @@ focal length f with a mirror l behind it) facing each other across a free-space
 gap d measured between their pupils.  A single pass maps a ray through lens 1,
 the gap, and lens 2; the composite is symmetric (A = D), so the two stability
 parameters g1 = A and g2 = D coincide.  The mode follows from the geometry
-alone: `q_at`, `propagation_factor` and `beam_radius` take a `CavityGeometry`,
-build the single pass from it and solve q(0) once per call.
+alone: `q_at` and `beam_radius` take a `CavityGeometry`, build the single pass
+from it and solve q(0) once per call.
 
 Axial positions: z = 0 is the plane of the transmitter mirror (where the
 doubling crystal sits).  The lens planes and the receiver photovoltaic plane
@@ -174,16 +174,6 @@ def fundamental_radius(q: complex, lam: float) -> float:
     return math.sqrt(-lam / (math.pi * im_inv))
 
 
-def propagation_factor(geom: CavityGeometry, a_g: float, lam: float) -> float:
-    """Multimode-to-fundamental radius ratio, anchored by w(l + f) = a_g.
-
-    Constant along the axis.  Normally >= 1 (the multimode beam overfills the
-    fundamental mode); for very long gaps the anchor drives it below 1, which
-    is tolerated as part of the approximation.
-    """
-    return beam_radius(geom, a_g, lam, geom.l + geom.f).propagation_factor
-
-
 @dataclass(frozen=True)
 class BeamProfile:
     """Beam radii at one axial position: fundamental w00, multimode w = factor * w00."""
@@ -196,8 +186,7 @@ class BeamProfile:
 def beam_radius(geom: CavityGeometry, a_g: float, lam: float, z: float) -> BeamProfile:
     """Fundamental and multimode beam radii at axial position z.
 
-    One q(0) is carried to the anchor plane l + f (see `propagation_factor`)
-    and to z.
+    One q(0) is carried to the anchor plane l + f, where w = a_g, and to z.
     """
     if not a_g > 0.0:
         raise ValueError("gain aperture radius a_g must be positive")

@@ -2,9 +2,10 @@
 
 SystemParams is a flat record of every scalar the simulator needs (geometry,
 gain medium, doubling crystal, coatings, receiver optics, noise, photovoltaic
-cell, safety, pump power).  Field names double as config keys.  The per-module
-spec objects are built and validated once, when the parameters are
-constructed, and kept as attributes outside the dataclass fields.
+cell, safety, pump power).  Field names double as config keys.  The spec
+objects of the link stages are built and validated once, when the parameters
+are constructed, and kept as attributes outside the dataclass fields; the
+safety fields are range-checked here and read only by the `--safety` report.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -23,7 +24,6 @@ from .it_channel import ConcentratorSpec, NoiseSpec
 from .optics import CavityGeometry
 from .pv import PVSpec
 from .resonator import GainMediumSpec, LossBudget, SHGSpec
-from .safety import SafetySpec
 
 
 class ConfigError(ValueError):
@@ -35,8 +35,8 @@ class SystemParams:
     """Complete simulator configuration; defaults describe the reference
     desk-scale design (1064 nm resonant beam, 532 nm carrier).
 
-    Attributes `geometry`, `gain`, `shg`, `loss`, `concentrator`, `noise`,
-    `pv` and `safety` hold the spec objects built from the fields."""
+    Attributes `geometry`, `gain`, `shg`, `loss`, `concentrator`, `noise`
+    and `pv` hold the spec objects built from the fields."""
 
     # cavity geometry [m]
     f: float = 0.03
@@ -115,11 +115,9 @@ class SystemParams:
                                gamma=self.gamma),
             "pv": PVSpec(rho=self.rho, i0=self.i0, r_sh=self.r_sh, r_s=self.r_s,
                          n=self.n, n_s=self.n_s, t=self.t),
-            "safety": SafetySpec(eta_p=self.eta_p, eta_t=self.eta_t, eta_a=self.eta_a,
-                                 d_e=self.d_e, a_g=self.a_g, lam=self.lam),
         }
-        for name in ("gamma_l3", "gamma_l4", "r_m5_2nu", "gamma_m5_nu",
-                     "gamma_m2_2nu", "gamma_g_eom", "gamma_pv"):
+        for name in ("gamma_l3", "gamma_l4", "r_m5_2nu", "gamma_m5_nu", "gamma_m2_2nu",
+                     "gamma_g_eom", "gamma_pv", "eta_p", "eta_t", "eta_a"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
@@ -129,6 +127,8 @@ class SystemParams:
                 raise ValueError(f"gamma_pd must be a number or 'auto', got {gpd!r}")
         elif not 0.0 < float(gpd) <= 1.0:
             raise ValueError(f"gamma_pd must be in (0, 1], got {gpd}")
+        if not 0.0 < self.d_e < math.inf:
+            raise ValueError(f"d_e must be positive and finite, got {self.d_e}")
         if not 0.0 <= self.p_in < math.inf:
             raise ValueError(f"p_in must be non-negative and finite, got {self.p_in}")
         vars(self).update(specs)

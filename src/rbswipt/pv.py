@@ -12,8 +12,8 @@ operating point for a given charging voltage follows from Kirchhoff's laws:
 All solves use bisection (unconditionally convergent; the diode exponential
 makes Newton steps overflow-prone), run down to bracket collapse so residuals
 sit at the floating-point floor.  The maximum power point is located by
-golden-section search over [0, v_oc], guarded by a coarse scan so a
-non-unimodal power curve falls back to a dense scan.
+golden-section search over [0, v_oc] down to a bracket of _V_TOL, guarded by
+a coarse scan so a non-unimodal power curve falls back to a dense scan.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .resonator import IntracavitySolution
 
 _EXP_CLAMP = 700.0  # exp argument cap, avoids overflow on wild brackets
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_V_TOL = 1e-9  # V, golden-section bracket width at which MPPT stops
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,13 @@ class PVSpec:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """One solved circuit state; p_charge = v_charge * i_charge, r_pl the
-    implied load resistance."""
+    """One solved circuit state; p_charge = v_charge * i_charge."""
 
     v_charge: float
     i_charge: float
     p_charge: float
     v_d: float
     i_d: float
-    r_pl: float
 
 
 def received_pt_power(
@@ -146,21 +145,19 @@ def solve_operating_point(spec: PVSpec, i_ph: float, v_charge: float) -> Operati
     if v_charge < 0.0:
         raise ValueError("v_charge must be non-negative")
     if i_ph == 0.0 and v_charge == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def residual(v_d: float) -> float:
         return i_ph - _diode_current(spec, v_d) - v_d / spec.r_sh - (v_d - v_charge) / spec.r_s
 
     v_d = _bisect(residual, 0.0, v_charge + i_ph * spec.r_s)
     i = (v_d - v_charge) / spec.r_s
-    r_pl = v_charge / i if i > 0.0 else math.inf
     return OperatingPoint(
         v_charge=v_charge,
         i_charge=i,
         p_charge=v_charge * i,
         v_d=v_d,
         i_d=_diode_current(spec, v_d),
-        r_pl=r_pl,
     )
 
 
@@ -190,11 +187,11 @@ def kirchhoff_residuals(
     return abs(e_node) / i_scale, abs(e_diode) / i_scale, abs(e_loop) / v_scale
 
 
-def mppt(spec: PVSpec, i_ph: float, v_tol: float = 1e-9) -> OperatingPoint:
+def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     """Maximum-power operating point over v_charge in [0, v_oc].
 
-    Golden-section search down to v_tol (default well below the micro-volt
-    level, so the power error is far under a nanowatt and the result beats any
+    Golden-section search down to _V_TOL (well below the micro-volt level, so
+    the power error is far under a nanowatt and the result beats any
     dense-scan sample of the unimodal curve).  A 65-point coarse scan guards
     unimodality: if some coarse sample beats the search result, a 10000-point
     dense scan takes over.
@@ -202,7 +199,7 @@ def mppt(spec: PVSpec, i_ph: float, v_tol: float = 1e-9) -> OperatingPoint:
     if i_ph < 0.0:
         raise ValueError("i_ph must be non-negative")
     if i_ph == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0)
     v_oc = open_circuit_voltage(spec, i_ph)
 
     def point(v: float) -> OperatingPoint:
@@ -213,7 +210,7 @@ def mppt(spec: PVSpec, i_ph: float, v_tol: float = 1e-9) -> OperatingPoint:
     x2 = lo + _GOLDEN * (hi - lo)
     p1, p2 = point(x1), point(x2)
     best = p1 if p1.p_charge >= p2.p_charge else p2
-    while hi - lo > v_tol:
+    while hi - lo > _V_TOL:
         if p1.p_charge < p2.p_charge:
             lo, x1, p1 = x1, x2, p2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -235,7 +232,7 @@ def mppt(spec: PVSpec, i_ph: float, v_tol: float = 1e-9) -> OperatingPoint:
         best_dense = max(dense, key=lambda op: op.p_charge)
         lo = max(0.0, best_dense.v_charge - v_oc / 9999.0)
         hi = min(v_oc, best_dense.v_charge + v_oc / 9999.0)
-        while hi - lo > v_tol:
+        while hi - lo > _V_TOL:
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
             if point(x1).p_charge < point(x2).p_charge:

@@ -10,10 +10,9 @@ in turn depends on the conversion loss, so the pair (P4, eta) is solved as
 one root in eta: g(eta) = K * P4(eta) - eta, strictly decreasing on [0, 1).
 
 Traveling-wave power stations around the loop: P4 is the wave incident on the
-transmitter-side equivalent mirror, P1 = r1^2 * P4 its reflection, P2 =
-(r1/r2) * P4 the wave incident on the receiver-side mirror, P3 = r2^2 * P2 its
-reflection; P1*P4 = P2*P3 is an exact invariant.  The frequency-doubled
-carrier leaves the crystal with power P_c = 2 * eta * P4 (both directions).
+transmitter-side equivalent mirror and P2 = (r1/r2) * P4 the wave incident on
+the receiver-side mirror.  The frequency-doubled carrier leaves the crystal
+with power P_c = 2 * eta * P4 (both directions).
 
 The diffraction factor follows from the cavity geometry alone:
 resolve_gamma_diff(loss, geom, a_g, lam) and diffraction_loss(geom, a_g, lam,
@@ -119,9 +118,7 @@ class IntracavitySolution:
     reflection coefficients and carrier power; status 'lasing' or
     'below_threshold' (all powers zero)."""
 
-    p1: float
     p2: float
-    p3: float
     p4: float
     eta_shg: float
     r1: float
@@ -210,27 +207,6 @@ def shg_conversion_coefficient(shg: SHGSpec, lam: float) -> float:
     )
 
 
-def _warn_high_conversion(eta: float) -> None:
-    if eta > 0.1:
-        warnings.warn(f"doubling efficiency {eta:.3g} exceeds the low-conversion "
-                      "assumption", stacklevel=3)
-
-
-def shg_efficiency(shg: SHGSpec, p4: float, w0: float, lam: float) -> float:
-    """Doubling efficiency for circulating power p4 focused to radius w0.
-
-    eta = K * 2*p4/(pi*w0^2) (undepleted plane-wave model).  Values above 0.1
-    stretch the low-conversion assumption and trigger a warning.
-    """
-    if p4 < 0.0:
-        raise ValueError("p4 must be non-negative")
-    if not w0 > 0.0:
-        raise ValueError("w0 must be positive")
-    eta = shg_conversion_coefficient(shg, lam) * 2.0 * p4 / (math.pi * w0 * w0)
-    _warn_high_conversion(eta)
-    return eta
-
-
 def plane_wave_valid(shg: SHGSpec, w0: float, lam: float) -> bool:
     """True when the crystal is shorter than the focal Rayleigh range
     pi*w0^2/lam, i.e. the plane-wave doubling model is self-consistent.
@@ -288,7 +264,7 @@ def solve_intracavity(
     p4 = rigrod_p4(gain, r1, r2, p_in)
     if p4 <= 0.0:
         return IntracavitySolution(
-            p1=0.0, p2=0.0, p3=0.0, p4=0.0, eta_shg=0.0,
+            p2=0.0, p4=0.0, eta_shg=0.0,
             r1=r1, r2=r2, p_c=0.0, status="below_threshold",
         )
     k = shg_conversion_coefficient(shg, gain.lam) * 2.0 / (math.pi * w0 * w0)
@@ -305,12 +281,11 @@ def solve_intracavity(
         else:
             hi = mid
         mid = 0.5 * (eta + hi)
-    _warn_high_conversion(eta)
-    p2 = (r1 / r2) * p4
+    if eta > 0.1:
+        warnings.warn(f"doubling efficiency {eta:.3g} exceeds the low-conversion "
+                      "assumption", stacklevel=2)
     return IntracavitySolution(
-        p1=r1 * r1 * p4,
-        p2=p2,
-        p3=r2 * r2 * p2,
+        p2=(r1 / r2) * p4,
         p4=p4,
         eta_shg=eta,
         r1=r1,

@@ -12,16 +12,13 @@ with C4 the wavelength factor (1 below 700 nm, 10^(0.002*(lam-700)) over
 700-1050 nm, 5 over 1050-1400 nm), C6 = clamp(alpha, 1.5 mrad, 100 mrad)/1.5
 the extended-source factor for angular subtense alpha, and C7 = 1 across the
 supported band.  The base coefficient 10.1175 W/m^2 is a calibrated
-reconstruction (certified MPE tables can be supplied as an override); treat
-the output as a design aid, not a certification.
+reconstruction; treat the output as a design aid, not a certification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 MPE_BASE = 10.1175  # W/m^2; calibrated so MPE(1064 nm, 40 mrad) = 1349 W/m^2
 _ALPHA_MIN = 1.5e-3  # rad, point-source floor of C6
@@ -72,42 +69,14 @@ def angular_subtense(spec: SafetySpec) -> float:
     return 2.0 * spec.a_g / spec.d_e
 
 
-def load_mpe_table(path: str) -> list[tuple[float, float]]:
-    """Read an override table: lines 'wavelength_nm mpe_W_per_m2', sorted."""
-    rows: list[tuple[float, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed MPE table line: {raw!r}")
-            rows.append((float(parts[0]), float(parts[1])))
-    if not rows:
-        raise ValueError("MPE table is empty")
-    rows.sort()
-    return rows
-
-
-def mpe_extended_source(
-    lam: float, alpha: float, table: list[tuple[float, float]] | None = None
-) -> float:
+def mpe_extended_source(lam: float, alpha: float) -> float:
     """Long-exposure extended-source MPE [W/m^2] for wavelength lam [m] and
-    angular subtense alpha [rad].
-
-    With `table` given (certified values, (nm, W/m^2) pairs), the MPE is
-    linearly interpolated in wavelength instead of reconstructed.
-    """
+    angular subtense alpha [rad]."""
     lam_nm = lam * 1e9
     if not 400.0 <= lam_nm <= 1400.0:
         raise ValueError(f"wavelength {lam_nm:.1f} nm outside the supported 400-1400 nm band")
     if alpha <= 0.0:
         raise ValueError("angular subtense must be positive")
-    if table is not None:
-        wl = np.array([row[0] for row in table])
-        vals = np.array([row[1] for row in table])
-        return float(np.interp(lam_nm, wl, vals))
     if lam_nm < 700.0:
         c4 = 1.0
     elif lam_nm < 1050.0:
@@ -119,12 +88,10 @@ def mpe_extended_source(
     return MPE_BASE * c4 * c6 * c7
 
 
-def max_safe_source_power(
-    spec: SafetySpec, table: list[tuple[float, float]] | None = None
-) -> tuple[float, float]:
+def max_safe_source_power(spec: SafetySpec) -> tuple[float, float]:
     """(P_a_safe, P_in_safe): largest absorbed and electrical pump powers whose
     spontaneous-emission irradiance at d_e stays at the MPE."""
-    mpe = mpe_extended_source(spec.lam, angular_subtense(spec), table)
+    mpe = mpe_extended_source(spec.lam, angular_subtense(spec))
     p_a_safe = mpe * 4.0 * math.pi * spec.d_e**2 / 2.0
     p_in_safe = p_a_safe / (spec.eta_p * spec.eta_t * spec.eta_a)
     return p_a_safe, p_in_safe

@@ -75,3 +75,32 @@ def test_result_is_frozen_record():
     assert isinstance(r, LinkResult)
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.r_b = 0.0
+
+
+@pytest.mark.parametrize("d, counts", [
+    (6.0, {"resonator.rigrod_p4": 55, "pv.solve_operating_point": 108,
+           "pv._diode_current": 6013}),
+    (11.0, {"resonator.rigrod_p4": 56, "pv.solve_operating_point": 107,
+            "pv._diode_current": 6012}),
+])
+def test_solver_call_counts(monkeypatch, d, counts):
+    # Solver cost as machine-independent counts: each function is replaced by a
+    # counting wrapper in its module, so the calls other stages and the module
+    # itself make through that name are seen.  A change of solver moves these.
+    from rbswipt import pv, resonator
+
+    seen = dict.fromkeys(counts, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = {"resonator": resonator, "pv": pv}
+    for name in counts:
+        module, attr = name.split(".")
+        monkeypatch.setattr(modules[module], attr,
+                            counting(name, getattr(modules[module], attr)))
+    assert evaluate_link(dataclasses.replace(DEFAULT, d=d)).status == "ok"
+    assert seen == counts

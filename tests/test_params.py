@@ -38,10 +38,10 @@ def test_spec_object_properties_mirror_fields():
     assert p.concentrator.a_pd == p.a_pd and p.concentrator.psi == p.psi
     assert p.noise.b == p.b and p.noise.t == p.t
     assert p.pv.i0 == p.i0 and p.pv.t == p.t
-    assert p.safety.eta_a == p.eta_a and p.safety.a_g == p.a_g
+    assert not hasattr(p, "safety")  # --safety builds its own spec
 
 
-SPECS = ("geometry", "gain", "shg", "loss", "concentrator", "noise", "pv", "safety")
+SPECS = ("geometry", "gain", "shg", "loss", "concentrator", "noise", "pv")
 
 
 def test_spec_objects_are_built_once_and_kept():
@@ -65,6 +65,15 @@ def test_spec_objects_are_built_once_and_kept():
 def test_validation_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"^r_m2 must be in \(0, 1\], got 1.5$"):
         SystemParams(r_m2=1.5)
+    # the safety fields are checked here although only --safety reads them
+    with pytest.raises(ValueError, match=r"^eta_p must be in \(0, 1\], got 0$"):
+        SystemParams(eta_p=0)
+    with pytest.raises(ValueError, match=r"^eta_t must be in \(0, 1\], got 1.2$"):
+        SystemParams(eta_t=1.2)
+    with pytest.raises(ValueError, match=r"^eta_a must be in \(0, 1\], got 0$"):
+        SystemParams(eta_a=0)
+    with pytest.raises(ValueError, match=r"^d_e must be positive and finite, got 0$"):
+        SystemParams(d_e=0)
     with pytest.raises(ValueError):
         SystemParams(gamma_pv=0.0)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from rbswipt.safety import (
     SafetySpec,
     absorbed_pump_power,
     angular_subtense,
-    load_mpe_table,
     max_safe_source_power,
     mpe_extended_source,
     spontaneous_irradiance,
@@ -77,26 +76,6 @@ def test_mpe_subtense_clamp():
     # linear in between
     assert math.isclose(mpe_extended_source(1064e-9, 0.08),
                         2.0 * mpe_extended_source(1064e-9, 0.04), rel_tol=1e-12)
-
-
-def test_mpe_table_override(tmp_path):
-    table_file = tmp_path / "mpe.txt"
-    table_file.write_text(
-        "# wavelength_nm  mpe_W_per_m2\n1000 900\n1100 1500\n\n", encoding="utf-8")
-    table = load_mpe_table(str(table_file))
-    assert table == [(1000.0, 900.0), (1100.0, 1500.0)]
-    # linear interpolation between rows, clamped ends
-    assert math.isclose(mpe_extended_source(1050e-9, 0.04, table), 1200.0,
-                        rel_tol=1e-12)
-    assert mpe_extended_source(1200e-9, 0.04, table) == 1500.0
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1000 900 77\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_mpe_table(str(bad))
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_mpe_table(str(empty))
 
 
 def test_max_safe_source_power():

@@ -158,8 +158,16 @@ def test_cli_print_defaults_round_trip(tmp_path, capsys):
 
 def test_cli_safety_report(capsys):
     assert main(["--safety"]) == 0
-    out = capsys.readouterr().out
-    assert "P_in,safe" in out and "verdict" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "electrical pump power       P_in      = 60 W",
+        "absorbed pump power         P_a       = 40.5405 W",
+        "worst-case irradiance       E         = 645.222 W/m2 at 0.1 m",
+        "apparent source subtense    alpha     = 40 mrad",
+        "permissible exposure        MPE       = 1349 W/m2",
+        "max absorbed pump power     P_a,safe  = 84.7602 W",
+        "max electrical pump power   P_in,safe = 125.445 W",
+        "verdict: SAFE",
+    ]
 
 
 def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):
@@ -189,9 +197,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--sweep", "p_in:0:inf:3"]) == 2  # unbounded range
     assert main(["--sweep", "r_m2:0.5:1.5:3"]) == 2  # end point out of range
     assert main(["--sweep", "d:-1:5:3"]) == 2  # start point out of range
-    for line in ("p_in = nan", "p_in = inf", "i0 = inf", "gamma_diff = model:nearfield"):
+    for line in ("p_in = nan", "p_in = inf", "i0 = inf", "gamma_diff = model:nearfield",
+                 "eta_a = 1.5", "d_e = 0"):
         bad.write_text(line + "\n", encoding="utf-8")
         assert main(["--config", str(bad)]) == 2, line
+    for jobs in ("0", "-2"):  # no worker count below 1 runs
+        assert main(["--sweep", "d:4:8:3", "--jobs", jobs]) == 2, jobs
     assert main(["--no-such-flag"]) == 2  # argparse usage error
     err = capsys.readouterr().err
     assert "configuration error" in err
