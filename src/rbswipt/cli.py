@@ -67,8 +67,11 @@ def _print_link(result: LinkResult) -> None:
 
 
 def _print_safety(params) -> None:
-    spec = SafetySpec(eta_p=params.eta_p, eta_t=params.eta_t, eta_a=params.eta_a,
-                      d_e=params.d_e, a_g=params.a_g, lam=params.lam)
+    try:
+        spec = SafetySpec(eta_p=params.eta_p, eta_t=params.eta_t, eta_a=params.eta_a,
+                          d_e=params.d_e, a_g=params.a_g, lam=params.lam)
+    except ValueError as exc:  # e.g. a wavelength outside the band the MPE covers
+        raise ConfigError(str(exc)) from None
     p_a = absorbed_pump_power(spec, params.p_in)
     irr = spontaneous_irradiance(spec, params.p_in)
     alpha = angular_subtense(spec)
@@ -99,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        if (args.csv or args.svg) and not args.sweep:
+            raise ConfigError("--csv and --svg write sweep rows and need --sweep")
         params = load_params(args.config)
         if args.safety:
             _print_safety(params)

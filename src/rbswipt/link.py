@@ -29,9 +29,11 @@ class LinkResult:
     status: str  # 'ok' | 'unstable' | 'below_threshold'
 
 
-def _dark_result(status: str, eta_shg: float = 0.0) -> LinkResult:
-    return LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
-                      r_b=0.0, v_mpp=0.0, eta_shg=eta_shg, status=status)
+# a dark link delivers nothing and converts nothing, whatever the reason
+_UNSTABLE = LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
+                       r_b=0.0, v_mpp=0.0, eta_shg=0.0, status="unstable")
+_BELOW_THRESHOLD = LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
+                              r_b=0.0, v_mpp=0.0, eta_shg=0.0, status="below_threshold")
 
 
 def evaluate_link(params: SystemParams) -> LinkResult:
@@ -39,7 +41,7 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     geom = params.geometry
     # a marginal cavity confines no Gaussian mode either, so it is dark too
     if optics.stability_check(geom) != "stable":
-        return _dark_result("unstable")
+        return _UNSTABLE
 
     gain = params.gain
     w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
@@ -47,7 +49,7 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     sol = resonator.solve_intracavity(gain, params.shg, params.loss,
                                       params.p_in, w0, gamma_diff, geom.d)
     if sol.status != "lasing":
-        return _dark_result(sol.status, eta_shg=sol.eta_shg)
+        return _BELOW_THRESHOLD
 
     gamma_air = resonator.air_transmittance(params.alpha_air, geom.d)
 

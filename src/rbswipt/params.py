@@ -6,6 +6,8 @@ cell, safety, pump power).  Field names double as config keys.  The spec
 objects of the link stages are built and validated once, when the parameters
 are constructed, and kept as attributes outside the dataclass fields; the
 safety fields are range-checked here and read only by the `--safety` report.
+A sweep row differs from its base in one field, so it rebuilds only the spec
+objects that read that field and shares the rest.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -28,6 +30,42 @@ from .resonator import GainMediumSpec, LossBudget, SHGSpec
 
 class ConfigError(ValueError):
     """Raised for unparseable or invalid configuration input."""
+
+
+# spec attribute -> (class, the fields it reads).  Each spec class names its
+# fields after the config keys it is built from, and this table is the one
+# record of which field feeds which spec: SystemParams and _with_field both
+# build from it.
+_SPECS = {
+    attr: (cls, tuple(f.name for f in dataclasses.fields(cls)))
+    for attr, cls in (("geometry", CavityGeometry), ("gain", GainMediumSpec),
+                      ("shg", SHGSpec), ("loss", LossBudget),
+                      ("concentrator", ConcentratorSpec), ("noise", NoiseSpec),
+                      ("pv", PVSpec))
+}
+
+
+def _build_spec(fields: dict, attr: str):
+    cls, names = _SPECS[attr]
+    return cls(*[fields[name] for name in names])  # names are in field order
+
+
+def _check_loose(name: str, v) -> None:
+    """Range check of a field that no spec object reads."""
+    if name == "gamma_pd":
+        if isinstance(v, str):
+            if v != "auto":
+                raise ValueError(f"gamma_pd must be a number or 'auto', got {v!r}")
+        elif not 0.0 < float(v) <= 1.0:
+            raise ValueError(f"gamma_pd must be in (0, 1], got {v}")
+    elif name == "d_e":
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"d_e must be positive and finite, got {v}")
+    elif name == "p_in":
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"p_in must be non-negative and finite, got {v}")
+    elif not 0.0 < v <= 1.0:  # the other loss factors and the pump-path efficiencies
+        raise ValueError(f"{name} must be in (0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -98,43 +136,39 @@ class SystemParams:
     p_in: float = 60.0  # electrical pump power [W]
 
     def __post_init__(self) -> None:
-        # spec-object constructors carry the detailed validation
-        specs = {
-            "geometry": CavityGeometry(f=self.f, l=self.l, d=self.d),
-            "gain": GainMediumSpec(i_s=self.i_s, a_g=self.a_g, l_g=self.l_g,
-                                   eta_c=self.eta_c, gamma_g=self.gamma_g,
-                                   lam=self.lam),
-            "shg": SHGSpec(d_eff=self.d_eff, l_s=self.l_s, n0=self.n0,
-                           gamma_shg=self.gamma_shg),
-            "loss": LossBudget(gamma_l1=self.gamma_l1, gamma_l2=self.gamma_l2,
-                               r_m1=self.r_m1, r_m2=self.r_m2,
-                               alpha_air=self.alpha_air, gamma_diff=self.gamma_diff),
-            "concentrator": ConcentratorSpec(a_pd=self.a_pd, psi_c=self.psi_c,
-                                             n_c=self.n_c, t_s=self.t_s, psi=self.psi),
-            "noise": NoiseSpec(b=self.b, t=self.t, r_il=self.r_il, i_bk=self.i_bk,
-                               gamma=self.gamma),
-            "pv": PVSpec(rho=self.rho, i0=self.i0, r_sh=self.r_sh, r_s=self.r_s,
-                         n=self.n, n_s=self.n_s, t=self.t),
-        }
-        for name in ("gamma_l3", "gamma_l4", "r_m5_2nu", "gamma_m5_nu", "gamma_m2_2nu",
-                     "gamma_g_eom", "gamma_pv", "eta_p", "eta_t", "eta_a"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        gpd = self.gamma_pd
-        if isinstance(gpd, str):
-            if gpd != "auto":
-                raise ValueError(f"gamma_pd must be a number or 'auto', got {gpd!r}")
-        elif not 0.0 < float(gpd) <= 1.0:
-            raise ValueError(f"gamma_pd must be in (0, 1], got {gpd}")
-        if not 0.0 < self.d_e < math.inf:
-            raise ValueError(f"d_e must be positive and finite, got {self.d_e}")
-        if not 0.0 <= self.p_in < math.inf:
-            raise ValueError(f"p_in must be non-negative and finite, got {self.p_in}")
-        vars(self).update(specs)
+        fields = vars(self)
+        for attr in _SPECS:
+            fields[attr] = _build_spec(fields, attr)
+        for name in _LOOSE:
+            _check_loose(name, fields[name])
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
+# field -> the spec attributes that read it (`t` feeds noise and pv)
+_READERS = {name: tuple(attr for attr, (_, names) in _SPECS.items() if name in names)
+            for name in _FIELD_NAMES}
+_LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
+
+
+def _with_field(base: SystemParams, name: str, value: float | int | str) -> SystemParams:
+    """`base` with one field set to `value`: the record `dataclasses.replace`
+    gives, built without re-running the other 47 fields' checks.
+
+    The spec objects that read `name` are rebuilt, which validates `value`;
+    a field no spec reads gets its range check.  Every other spec object is
+    the base's own.  Sweep rows are built this way."""
+    row = object.__new__(SystemParams)
+    fields = vars(row)
+    fields.update(vars(base))
+    fields[name] = value
+    readers = _READERS[name]
+    for attr in readers:
+        fields[attr] = _build_spec(fields, attr)
+    if not readers:
+        _check_loose(name, value)
+    return row
+
+
 _STRING_OK = {"gamma_diff", "gamma_pd"}
 _INT_FIELDS = {"n_s"}
 

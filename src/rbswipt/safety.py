@@ -25,11 +25,17 @@ _ALPHA_MIN = 1.5e-3  # rad, point-source floor of C6
 _ALPHA_MAX = 100e-3  # rad, extended-source cap of C6
 
 
+def _check_band(lam: float) -> None:
+    lam_nm = lam * 1e9
+    if not 400.0 <= lam_nm <= 1400.0:
+        raise ValueError(f"wavelength {lam_nm:.1f} nm outside the supported 400-1400 nm band")
+
+
 @dataclass(frozen=True)
 class SafetySpec:
     """Pump-path efficiencies (source eta_p, transmission eta_t, absorption
     eta_a), measurement distance d_e [m], gain aperture radius a_g [m] and
-    wavelength lam [m]."""
+    wavelength lam [m], which must lie in the band the MPE covers."""
 
     eta_p: float
     eta_t: float
@@ -46,6 +52,7 @@ class SafetySpec:
         for name in ("d_e", "a_g", "lam"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        _check_band(self.lam)
 
 
 def absorbed_pump_power(spec: SafetySpec, p_in: float) -> float:
@@ -72,9 +79,8 @@ def angular_subtense(spec: SafetySpec) -> float:
 def mpe_extended_source(lam: float, alpha: float) -> float:
     """Long-exposure extended-source MPE [W/m^2] for wavelength lam [m] and
     angular subtense alpha [rad]."""
+    _check_band(lam)
     lam_nm = lam * 1e9
-    if not 400.0 <= lam_nm <= 1400.0:
-        raise ValueError(f"wavelength {lam_nm:.1f} nm outside the supported 400-1400 nm band")
     if alpha <= 0.0:
         raise ValueError("angular subtense must be positive")
     if lam_nm < 700.0:

@@ -13,13 +13,12 @@ labelled polylines on a shared abscissa.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .link import LinkResult, evaluate_link
-from .params import ConfigError, SystemParams
+from .params import ConfigError, SystemParams, _with_field
 
 AXES = ("d", "p_in", "r_m2", "l_s")
 
@@ -57,7 +56,7 @@ class SweepSpec:
         # points make the whole grid valid
         for value in (self.vmin, self.vmax):
             try:
-                dataclasses.replace(self.params, **{self.axis: value})
+                _with_field(self.params, self.axis, value)
             except ValueError as exc:
                 raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 
@@ -70,9 +69,8 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkRe
 
     Row order always follows the grid, independent of worker count.
     """
-    fields = {f.name: getattr(spec.params, f.name) for f in dataclasses.fields(spec.params)}
     values = spec.values().tolist()
-    points = (SystemParams(**{**fields, spec.axis: v}) for v in values)
+    points = (_with_field(spec.params, spec.axis, v) for v in values)
     if max_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(evaluate_link, points))

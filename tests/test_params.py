@@ -9,6 +9,7 @@ import pytest
 from rbswipt.params import (
     ConfigError,
     SystemParams,
+    _with_field,
     format_defaults,
     load_params,
     parse_config_text,
@@ -90,6 +91,32 @@ def test_validation_rejects_out_of_range():
                 SystemParams(**{field.name: value})
     assert SystemParams(gamma_pd=0.5).gamma_pd == 0.5
     assert SystemParams(gamma_diff="model:pupil").gamma_diff == "model:pupil"
+
+
+# a valid value other than the default, for fields where 0.99 x default is not one
+OTHER_VALUE = {"gamma_diff": 0.8, "gamma_pd": 0.5, "n_s": 2, "psi": 0.1}
+
+
+def test_row_builder_matches_the_constructor():
+    base = SystemParams()
+    for field in dataclasses.fields(SystemParams):
+        name = field.name
+        value = OTHER_VALUE[name] if name in OTHER_VALUE else getattr(base, name) * 0.99
+        row = _with_field(base, name, value)
+        ref = dataclasses.replace(base, **{name: value})
+        assert row == ref and getattr(row, name) == value != getattr(base, name)
+        assert pickle.dumps(row) == pickle.dumps(ref), name
+        for attr in SPECS:
+            spec = getattr(row, attr)
+            assert spec == getattr(ref, attr), (name, attr)
+            reads = name in {f.name for f in dataclasses.fields(spec)}
+            assert (spec is getattr(base, attr)) is not reads, (name, attr)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as built:
+                _with_field(base, name, bad)
+            with pytest.raises(ValueError) as constructed:
+                SystemParams(**{name: bad})
+            assert str(built.value) == str(constructed.value), (name, bad)
 
 
 def test_parse_units():

@@ -23,6 +23,9 @@ def test_spec_validation():
         SafetySpec(eta_p=0.0, eta_t=0.99, eta_a=0.91, d_e=0.1, a_g=2e-3, lam=1064e-9)
     with pytest.raises(ValueError):
         SafetySpec(eta_p=0.75, eta_t=0.99, eta_a=0.91, d_e=-0.1, a_g=2e-3, lam=1064e-9)
+    for lam in (350e-9, 1550e-9):  # outside the band the MPE covers
+        with pytest.raises(ValueError, match="outside the supported 400-1400 nm band"):
+            SafetySpec(eta_p=0.75, eta_t=0.99, eta_a=0.91, d_e=0.1, a_g=2e-3, lam=lam)
 
 
 def test_absorbed_pump_power():

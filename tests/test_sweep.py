@@ -7,8 +7,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from rbswipt.cli import main
+from rbswipt.it_channel import ConcentratorSpec, NoiseSpec
 from rbswipt.link import evaluate_link
+from rbswipt.optics import CavityGeometry
 from rbswipt.params import ConfigError, SystemParams
+from rbswipt.pv import PVSpec
+from rbswipt.resonator import GainMediumSpec, LossBudget, SHGSpec
 from rbswipt.sweep import (
     AXES,
     CSV_HEADER,
@@ -86,6 +90,35 @@ def test_rows_match_points_built_by_replace(axis):
     for value, result in rows:
         point = dataclasses.replace(base, **{axis: value})
         assert repr(result) == repr(evaluate_link(point))
+
+
+SPEC_CLASSES = (CavityGeometry, GainMediumSpec, SHGSpec, LossBudget, ConcentratorSpec,
+                NoiseSpec, PVSpec)
+
+
+@pytest.mark.parametrize("axis, rebuilt", [
+    ("d", CavityGeometry), ("r_m2", LossBudget), ("l_s", SHGSpec), ("p_in", None),
+])
+def test_rows_rebuild_only_the_spec_that_reads_the_axis(monkeypatch, axis, rebuilt):
+    # Spec constructions counted through each class's __post_init__: a row
+    # rebuilds the one spec object that reads the swept field and shares the
+    # others with the base; p_in is read by none of them.
+    lo, hi = GRIDS[axis]
+    spec = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=PARAMS)
+    built = dict.fromkeys(SPEC_CLASSES, 0)
+
+    def counting(cls):
+        post_init = cls.__post_init__
+
+        def wrapper(self):
+            built[cls] += 1
+            post_init(self)
+        return wrapper
+
+    for cls in SPEC_CLASSES:
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    rows = run_sweep(spec)
+    assert built == {cls: len(rows) if cls is rebuilt else 0 for cls in SPEC_CLASSES}
 
 
 def test_parallel_matches_serial():
@@ -203,9 +236,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main(["--config", str(bad)]) == 2, line
     for jobs in ("0", "-2"):  # no worker count below 1 runs
         assert main(["--sweep", "d:4:8:3", "--jobs", jobs]) == 2, jobs
+    ir = tmp_path / "ir.cfg"
+    ir.write_text("lam = 1550 nm\n", encoding="utf-8")
+    assert main(["--config", str(ir)]) == 0  # the link model has no band limit
+    assert main(["--config", str(ir), "--safety"]) == 2  # the exposure limit has one
+    for flag in ("--csv", "--svg"):  # an output file with no sweep to write
+        assert main([flag, str(tmp_path / "out")]) == 2, flag
+    assert not (tmp_path / "out").exists()
     assert main(["--no-such-flag"]) == 2  # argparse usage error
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert "wavelength 1550.0 nm outside" in err and "need --sweep" in err
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
