@@ -104,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if (args.csv or args.svg) and not args.sweep:
             raise ConfigError("--csv and --svg write sweep rows and need --sweep")
+        if args.safety and (args.sweep or args.csv or args.svg):
+            raise ConfigError("--safety prints a report and takes no --sweep, --csv or --svg")
         params = load_params(args.config)
         if args.safety:
             _print_safety(params)

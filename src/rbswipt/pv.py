@@ -49,6 +49,8 @@ class PVSpec:
                 raise ValueError(f"{name} must be positive and finite")
         if not 1 <= self.n_s < math.inf:
             raise ValueError("n_s must be >= 1")
+        if self.n_s != int(self.n_s):
+            raise ValueError(f"n_s must be a whole number of cells, got {self.n_s!r}")
 
     @property
     def thermal_voltage(self) -> float:

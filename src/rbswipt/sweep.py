@@ -12,10 +12,8 @@ labelled polylines on a shared abscissa.
 
 from __future__ import annotations
 
-import concurrent.futures
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .link import LinkResult, evaluate_link
 from .params import ConfigError, SystemParams, _with_field
@@ -49,9 +47,12 @@ class SweepSpec:
         object.__setattr__(self, "axis", canonical_axis(self.axis))
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
-        if not -np.inf < self.vmin < self.vmax < np.inf:
+        if not -math.inf < self.vmin < self.vmax < math.inf:
             raise ConfigError("sweep range must be finite with min < max, "
                               f"got [{self.vmin}, {self.vmax}]")
+        if self._step() == 0.0:
+            raise ConfigError(f"sweep range [{self.vmin!r}, {self.vmax!r}] is too narrow "
+                              f"for {self.steps} distinct steps")
         # every range check on a swept field is an interval, so valid end
         # points make the whole grid valid
         for value in (self.vmin, self.vmax):
@@ -60,8 +61,13 @@ class SweepSpec:
             except ValueError as exc:
                 raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.vmin, self.vmax, self.steps)
+    def _step(self) -> float:
+        return (self.vmax - self.vmin) / (self.steps - 1)
+
+    def values(self) -> list[float]:
+        """The grid, bit for bit as `numpy.linspace(vmin, vmax, steps)` builds it."""
+        step = self._step()
+        return [j * step + self.vmin for j in range(self.steps - 1)] + [self.vmax]
 
 
 def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkResult]]:
@@ -69,9 +75,11 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkRe
 
     Row order always follows the grid, independent of worker count.
     """
-    values = spec.values().tolist()
+    values = spec.values()
     points = (_with_field(spec.params, spec.axis, v) for v in values)
     if max_workers > 1:
+        import concurrent.futures  # only a pool needs it; keeps the import path lean
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(evaluate_link, points))
     else:

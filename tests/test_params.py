@@ -75,6 +75,8 @@ def test_validation_rejects_out_of_range():
         SystemParams(eta_a=0)
     with pytest.raises(ValueError, match=r"^d_e must be positive and finite, got 0$"):
         SystemParams(d_e=0)
+    with pytest.raises(ValueError, match=r"^n_s must be a whole number of cells, got 1.5$"):
+        SystemParams(n_s=1.5)
     with pytest.raises(ValueError):
         SystemParams(gamma_pv=0.0)
     with pytest.raises(ValueError):

@@ -10,10 +10,14 @@ so that d_eff**2 cannot underflow.
 Small crystals near threshold give carriers whose SNR is under the
 double-precision epsilon; `achievable_rate` evaluates log1p(snr), so their
 rate stays positive, and `test_weak_carrier_rate_stays_positive` pins that.
+
+`test_sweep_grid_is_the_numpy_grid` checks the sweep grid against
+`numpy.linspace` over random valid specs on every axis.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -21,8 +25,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rbswipt.link import evaluate_link  # noqa: E402
-from rbswipt.params import SystemParams  # noqa: E402
+from rbswipt.params import ConfigError, SystemParams  # noqa: E402
 from rbswipt.pv import open_circuit_voltage, photo_current  # noqa: E402
+from rbswipt.sweep import SweepSpec  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore:doubling efficiency")
 
@@ -82,3 +87,27 @@ def test_weak_carrier_rate_stays_positive():
     r = evaluate_link(dataclasses.replace(BASE, d_eff=1e-17))
     assert r.status == "ok" and r.p_recv_it > 0.0
     assert r.r_b > 0.0
+
+
+# each axis's valid range; d, p_in and l_s are unbounded above
+AXIS_RANGE = {"d": st.floats(0.0, allow_infinity=False),
+              "p_in": st.floats(0.0, allow_infinity=False),
+              "r_m2": st.floats(0.0, 1.0, exclude_min=True),
+              "l_s": st.floats(0.0, exclude_min=True, allow_infinity=False)}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(AXIS_RANGE)).flatmap(
+    lambda axis: st.tuples(st.just(axis), AXIS_RANGE[axis], AXIS_RANGE[axis])),
+    st.integers(2, 700))
+def test_sweep_grid_is_the_numpy_grid(ends, steps):
+    axis, lo, hi = ends
+    assume(lo < hi)
+    try:
+        spec = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=BASE)
+    except ConfigError:  # only a step that underflows to 0 is refused
+        assert (hi - lo) / (steps - 1) == 0.0
+        return
+    with np.errstate(over="ignore"):  # numpy also scales the end point it then drops
+        expected = np.linspace(lo, hi, steps).tolist()
+    assert [v.hex() for v in spec.values()] == [v.hex() for v in expected]

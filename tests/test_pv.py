@@ -40,6 +40,10 @@ def test_spec_validation_and_thermal_voltage():
         PVSpec(rho=0.6, i0=-1e-7, r_sh=53.82, r_s=0.037, n=1.48, n_s=1, t=298.0)
     with pytest.raises(ValueError):
         PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=0, t=298.0)
+    with pytest.raises(ValueError, match="whole number"):
+        PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1.5, t=298.0)
+    assert PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=2.0,
+                  t=298.0).n_s == 2
 
 
 def test_received_pt_power_extraction_chain():

@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbswipt.cli import main
@@ -56,9 +61,47 @@ def test_sweep_spec_validation():
     for axis, lo, hi in (("r_m2", 0.5, 1.5), ("d", -1.0, 5.0), ("l_s", 0.0, 1e-3)):
         with pytest.raises(ConfigError):  # an end point outside the field's range
             SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=3, params=PARAMS)
+    # (vmax - vmin) / (steps - 1) underflows to 0: every row would repeat vmin
+    with pytest.raises(ConfigError, match="too narrow"):
+        SweepSpec(axis="l_s", vmin=5e-324, vmax=1e-323, steps=10, params=PARAMS)
     spec = SweepSpec(axis="P_in", vmin=0.0, vmax=100.0, steps=11, params=PARAMS)
     assert spec.axis == "p_in"
     assert list(spec.values()) == [10.0 * k for k in range(11)]
+
+
+# the sweeps CI runs, 2-step grids, and tiny and huge spans
+NUMPY_GRIDS = [
+    ("d", 0.45, 13.25, 33), ("p_in", 0.0, 120.0, 61), ("l_s", 0.0001, 0.006, 60),
+    ("r_m2", 0.5, 1.0, 40), ("d", 12.2, 42.2, 600), ("p_in", 0.0, 27.0, 600),
+    ("d", 4.0, 10.0, 7), ("d", 4.0, 8.0, 3),
+    ("d", 0.45, 13.25, 2), ("r_m2", 0.1, 1.0, 2), ("l_s", 5e-324, 1e-323, 2),
+    ("d", 1e-9, 3e-9, 7), ("d", 1.0, 1.0000000000000002, 10), ("l_s", 5e-324, 1e-321, 3),
+    ("l_s", 1e-300, 3e-300, 11), ("p_in", 0.0, 1e300, 9),
+    ("d", 1e300, 1.7976931348623157e308, 1000),
+]
+
+
+@pytest.mark.parametrize("axis, lo, hi, steps", NUMPY_GRIDS)
+def test_grid_is_the_numpy_grid(axis, lo, hi, steps):
+    values = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=PARAMS).values()
+    expected = np.linspace(lo, hi, steps).tolist()
+    # float.hex compares bits, so the sign of a zero counts too
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+
+def test_import_path_stays_lean():
+    # numpy is a test dependency only, and only a worker pool needs
+    # concurrent.futures (which loads logging)
+    child = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import rbswipt, rbswipt.cli\n"
+             "print(*{m.partition('.')[0] for m in set(sys.modules) - before})\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(out.split())
+    assert "rbswipt" in loaded
+    assert not loaded & {"numpy", "concurrent", "logging"}
 
 
 def test_run_sweep_rows_follow_grid():
@@ -243,10 +286,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     for flag in ("--csv", "--svg"):  # an output file with no sweep to write
         assert main([flag, str(tmp_path / "out")]) == 2, flag
     assert not (tmp_path / "out").exists()
+    assert main(["--sweep", "l_s:5e-324:1e-323:10"]) == 2  # step underflows to 0
+    for extra in (["--sweep", "d:1:2:3"],  # a report and a sweep at once
+                  ["--sweep", "d:1:2:3", "--csv", str(tmp_path / "out")],
+                  ["--sweep", "d:1:2:3", "--svg", str(tmp_path / "out")]):
+        assert main(["--safety", *extra]) == 2, extra
+    assert not (tmp_path / "out").exists()
     assert main(["--no-such-flag"]) == 2  # argparse usage error
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "wavelength 1550.0 nm outside" in err and "need --sweep" in err
+    assert "too narrow" in err and "--safety prints a report" in err
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
