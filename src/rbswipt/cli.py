@@ -95,10 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports bad usage with code 2
         return int(exc.code or 0)
 
-    if args.print_defaults:
-        sys.stdout.write(format_defaults())
-        return EXIT_OK
-
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
@@ -106,6 +102,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--csv and --svg write sweep rows and need --sweep")
         if args.safety and (args.sweep or args.csv or args.svg):
             raise ConfigError("--safety prints a report and takes no --sweep, --csv or --svg")
+        if args.print_defaults:
+            if args.config or args.sweep or args.csv or args.svg or args.safety:
+                raise ConfigError("--print-defaults prints the defaults and takes no "
+                                  "--config, --sweep, --csv, --svg or --safety")
+            sys.stdout.write(format_defaults())
+            return EXIT_OK
         params = load_params(args.config)
         if args.safety:
             _print_safety(params)

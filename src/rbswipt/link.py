@@ -1,10 +1,19 @@
 """End-to-end link evaluation: pump power in, charging power and rate out.
 
-`evaluate_link` chains the stages: cavity stability and mode shape,
-steady-state intracavity powers with frequency doubling, delivery of the
-fundamental to the photovoltaic receiver (power channel), delivery of the
-doubled carrier to the photodiode (information channel), maximum-power-point
-charging, and the achievable rate.
+`evaluate_link` chains the stages in this order:
+
+1. cavity stability (an unstable or marginal cavity is dark);
+2. the diffraction factor and the equivalent reflectances at eta = 0;
+3. the lasing threshold at eta = 0 (a pump at or under it is dark);
+4. the mode radius w0 at the doubling crystal, and the intracavity powers
+   with frequency doubling;
+5. delivery of the fundamental to the photovoltaic receiver (power channel)
+   and maximum-power-point charging;
+6. delivery of the doubled carrier to the photodiode (information channel)
+   and the achievable rate.
+
+The threshold comes before the mode because it does not depend on w0: a dark
+row pays only for the tests that make it dark.
 """
 
 from __future__ import annotations
@@ -44,10 +53,16 @@ def evaluate_link(params: SystemParams) -> LinkResult:
         return _UNSTABLE
 
     gain = params.gain
-    w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
     gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
+    r1, r2 = resonator.equivalent_reflectances(params.loss, params.shg, gain, 0.0,
+                                               geom.d, gamma_diff)
+    if params.p_in <= resonator.lasing_threshold(gain, r1, r2):
+        return _BELOW_THRESHOLD
+
+    w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
     sol = resonator.solve_intracavity(gain, params.shg, params.loss,
                                       params.p_in, w0, gamma_diff, geom.d)
+    # a pump within rounding of the threshold can still leave P4 at 0
     if sol.status != "lasing":
         return _BELOW_THRESHOLD
 

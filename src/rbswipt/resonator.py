@@ -214,6 +214,16 @@ def plane_wave_valid(shg: SHGSpec, w0: float, lam: float) -> bool:
     return shg.l_s < math.pi * w0 * w0 / lam
 
 
+def _round_trip(r1: float, r2: float) -> float:
+    """r1*r2 of a cavity that loses power on each round trip."""
+    if not (0.0 < r1 <= 1.0 and 0.0 < r2 <= 1.0):
+        raise ValueError("reflection coefficients must be in (0, 1]")
+    rr = r1 * r2
+    if rr >= 1.0:
+        raise ValueError("lossless cavity divergence: r1*r2 must be < 1")
+    return rr
+
+
 def rigrod_p4(gain: GainMediumSpec, r1: float, r2: float, p_in: float) -> float:
     """Circulating power incident on the transmitter-side equivalent mirror.
 
@@ -222,11 +232,7 @@ def rigrod_p4(gain: GainMediumSpec, r1: float, r2: float, p_in: float) -> float:
 
     Returns 0 when the bracket is non-positive (pump below threshold).
     """
-    if not (0.0 < r1 <= 1.0 and 0.0 < r2 <= 1.0):
-        raise ValueError("reflection coefficients must be in (0, 1]")
-    rr = r1 * r2
-    if rr >= 1.0:
-        raise ValueError("lossless cavity divergence: r1*r2 must be < 1")
+    rr = _round_trip(r1, r2)
     if p_in < 0.0:
         raise ValueError("p_in must be non-negative")
     bracket = gain.l_g * gain.eta_c * p_in / (gain.i_s * gain.volume) - math.log(1.0 / rr)
@@ -237,8 +243,13 @@ def rigrod_p4(gain: GainMediumSpec, r1: float, r2: float, p_in: float) -> float:
 
 
 def lasing_threshold(gain: GainMediumSpec, r1: float, r2: float) -> float:
-    """Pump power at which the round-trip gain bracket crosses zero."""
-    return math.log(1.0 / (r1 * r2)) * gain.i_s * math.pi * gain.a_g**2 / gain.eta_c
+    """Pump power at which the round-trip gain bracket crosses zero.
+
+    Raises ValueError for the reflectances `rigrod_p4` refuses, so a lossless
+    cavity is an error here too, never a threshold of 0 W.
+    """
+    rr = _round_trip(r1, r2)
+    return math.log(1.0 / rr) * gain.i_s * math.pi * gain.a_g**2 / gain.eta_c
 
 
 def solve_intracavity(

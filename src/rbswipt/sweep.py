@@ -35,7 +35,9 @@ def canonical_axis(name: str) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional sweep: `axis` varied over [vmin, vmax] in `steps` points."""
+    """One-dimensional sweep: `axis` varied over [vmin, vmax] in `steps` distinct
+    points.  A range too narrow for that, whose grid would repeat a value, is a
+    ConfigError."""
 
     axis: str
     vmin: float
@@ -50,7 +52,8 @@ class SweepSpec:
         if not -math.inf < self.vmin < self.vmax < math.inf:
             raise ConfigError("sweep range must be finite with min < max, "
                               f"got [{self.vmin}, {self.vmax}]")
-        if self._step() == 0.0:
+        values = self.values()
+        if any(a >= b for a, b in zip(values, values[1:])):  # rows would repeat a point
             raise ConfigError(f"sweep range [{self.vmin!r}, {self.vmax!r}] is too narrow "
                               f"for {self.steps} distinct steps")
         # every range check on a swept field is an interval, so valid end
@@ -61,12 +64,9 @@ class SweepSpec:
             except ValueError as exc:
                 raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 
-    def _step(self) -> float:
-        return (self.vmax - self.vmin) / (self.steps - 1)
-
     def values(self) -> list[float]:
         """The grid, bit for bit as `numpy.linspace(vmin, vmax, steps)` builds it."""
-        step = self._step()
+        step = (self.vmax - self.vmin) / (self.steps - 1)
         return [j * step + self.vmin for j in range(self.steps - 1)] + [self.vmax]
 
 
@@ -80,15 +80,15 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkRe
     if max_workers > 1:
         import concurrent.futures  # only a pool needs it; keeps the import path lean
 
+        # about four chunks per worker, as multiprocessing.Pool.map cuts them:
+        # one row per task costs more to send than a dark row costs to
+        # evaluate, and one chunk per worker leaves lasing rows unbalanced
+        chunksize = -(-len(values) // (4 * max_workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate_link, points))
+            results = list(pool.map(evaluate_link, points, chunksize=chunksize))
     else:
         results = list(map(evaluate_link, points))
     return list(zip(values, results))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:
@@ -97,9 +97,8 @@ def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:
         raise ValueError("no sweep rows to write")
     lines = [CSV_HEADER]
     for value, r in rows:
-        lines.append(",".join((_fmt(value), _fmt(r.p_recv_pt), _fmt(r.p_recv_it),
-                               _fmt(r.p_hat_charge), _fmt(r.r_b), _fmt(r.eta_shg),
-                               r.status)))
+        lines.append(f"{value:.17g},{r.p_recv_pt:.17g},{r.p_recv_it:.17g},"
+                     f"{r.p_hat_charge:.17g},{r.r_b:.17g},{r.eta_shg:.17g},{r.status}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -121,7 +120,7 @@ def _scale(values: list[float], lo_px: float, hi_px: float):
 
 
 def _polyline(xs_px: list[float], ys_px: list[float], color: str) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs_px, ys_px))
+    pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs_px, ys_px)])
     return (f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{pts}"/>')
 
@@ -166,8 +165,9 @@ def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
         rv = r_min + frac * (r_max - r_min)
         parts.append(f'<text x="{x_hi + 8}" y="{r_px(rv):.2f}" font-size="12" '
                      f'text-anchor="start" fill="#d62728">{rv:.4g}</text>')
-    parts.append(_polyline([x_px(v) for v in xs], [p_px(v) for v in y_pow], "#1f77b4"))
-    parts.append(_polyline([x_px(v) for v in xs], [r_px(v) for v in y_rate], "#d62728"))
+    xs_px = [x_px(v) for v in xs]
+    parts.append(_polyline(xs_px, [p_px(v) for v in y_pow], "#1f77b4"))
+    parts.append(_polyline(xs_px, [r_px(v) for v in y_rate], "#d62728"))
     parts.append(f'<text x="{(x_lo + x_hi) / 2}" y="{_SVG_H - 15}" font-size="14" '
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="{x_lo}" y="{_MARGIN_T - 12}" font-size="14" '

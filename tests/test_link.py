@@ -36,6 +36,16 @@ def test_below_threshold_is_dark():
     assert r.p_recv_pt == r.p_recv_it == r.p_hat_charge == r.r_b == 0.0
 
 
+def test_lossless_cavity_is_an_error_not_dark():
+    # r1*r2 = 1 has no threshold: no pump, not even 0 W, is below it
+    lossless = dataclasses.replace(DEFAULT, gamma_g=1.0, gamma_shg=1.0, gamma_l1=1.0,
+                                   gamma_l2=1.0, r_m1=1.0, r_m2=1.0, alpha_air=0.0,
+                                   gamma_diff=1.0)
+    for p_in in (0.0, 60.0):
+        with pytest.raises(ValueError, match="lossless cavity"):
+            evaluate_link(dataclasses.replace(lossless, p_in=p_in))
+
+
 def test_non_ok_status_implies_all_zero():
     for params in (dataclasses.replace(DEFAULT, p_in=20.0),
                    dataclasses.replace(DEFAULT, d=12.2),
@@ -104,3 +114,28 @@ def test_solver_call_counts(monkeypatch, d, counts):
                             counting(name, getattr(modules[module], attr)))
     assert evaluate_link(dataclasses.replace(DEFAULT, d=d)).status == "ok"
     assert seen == counts
+
+
+@pytest.mark.parametrize("change, status", [
+    ({"p_in": 1.0}, "below_threshold"),
+    ({"d": 12.5}, "unstable"),
+])
+def test_dark_point_builds_no_mode_and_solves_nothing(monkeypatch, change, status):
+    # A dark point pays only for the tests that make it dark: the threshold at
+    # eta = 0 does not depend on the mode radius, so neither is computed.
+    from rbswipt import optics, resonator
+
+    seen = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in ((optics, "beam_radius"), (resonator, "rigrod_p4"),
+                         (resonator, "solve_intracavity")):
+        monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
+    assert DEFAULT.gamma_diff == "model:farfield"
+    assert evaluate_link(dataclasses.replace(DEFAULT, **change)).status == status
+    assert seen == []

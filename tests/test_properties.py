@@ -16,6 +16,7 @@ rate stays positive, and `test_weak_carrier_rate_stays_positive` pins that.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from rbswipt import optics, resonator  # noqa: E402
 from rbswipt.link import evaluate_link  # noqa: E402
 from rbswipt.params import ConfigError, SystemParams  # noqa: E402
 from rbswipt.pv import open_circuit_voltage, photo_current  # noqa: E402
@@ -83,6 +85,23 @@ def test_charge_does_not_fall_with_more_pump(params):
     assert high.p_hat_charge >= low.p_hat_charge
 
 
+@checked
+@given(design_box)
+def test_stable_cavity_lases_exactly_above_its_threshold(params):
+    # the margin a dark result is decided by: the pump against the eta = 0
+    # threshold of the same cavity
+    geom, gain = params.geometry, params.gain
+    assume(optics.stability_check(geom) == "stable")
+    gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
+    r1, r2 = resonator.equivalent_reflectances(params.loss, params.shg, gain, 0.0,
+                                               geom.d, gamma_diff)
+    threshold = resonator.lasing_threshold(gain, r1, r2)
+    # within 2 ulps of the threshold, the gain bracket of rigrod_p4 and this
+    # threshold can round to opposite sides
+    assume(not math.isclose(params.p_in, threshold, rel_tol=1e-15))
+    assert (evaluate_link(params).status == "ok") == (params.p_in > threshold)
+
+
 def test_weak_carrier_rate_stays_positive():
     r = evaluate_link(dataclasses.replace(BASE, d_eff=1e-17))
     assert r.status == "ok" and r.p_recv_it > 0.0
@@ -103,11 +122,12 @@ AXIS_RANGE = {"d": st.floats(0.0, allow_infinity=False),
 def test_sweep_grid_is_the_numpy_grid(ends, steps):
     axis, lo, hi = ends
     assume(lo < hi)
-    try:
-        spec = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=BASE)
-    except ConfigError:  # only a step that underflows to 0 is refused
-        assert (hi - lo) / (steps - 1) == 0.0
-        return
     with np.errstate(over="ignore"):  # numpy also scales the end point it then drops
         expected = np.linspace(lo, hi, steps).tolist()
+    try:
+        spec = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=BASE)
+    except ConfigError:  # refused exactly when the grid repeats a value
+        assert len(set(expected)) < steps
+        return
+    assert len(set(expected)) == steps
     assert [v.hex() for v in spec.values()] == [v.hex() for v in expected]

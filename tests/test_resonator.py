@@ -190,6 +190,9 @@ def test_rigrod_threshold_behaviour():
         rigrod_p4(GAIN, 1.0, 1.0, 60.0)
     with pytest.raises(ValueError):
         rigrod_p4(GAIN, r1, r2, -1.0)
+    for bad in ((0.0, r2), (1.0, 1.0)):  # no threshold where rigrod_p4 has no balance
+        with pytest.raises(ValueError):
+            lasing_threshold(GAIN, *bad)
 
 
 def test_solve_intracavity_reference_solution():

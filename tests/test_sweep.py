@@ -64,6 +64,9 @@ def test_sweep_spec_validation():
     # (vmax - vmin) / (steps - 1) underflows to 0: every row would repeat vmin
     with pytest.raises(ConfigError, match="too narrow"):
         SweepSpec(axis="l_s", vmin=5e-324, vmax=1e-323, steps=10, params=PARAMS)
+    # a positive step under half an ulp of vmin: ten rows at two values of d
+    with pytest.raises(ConfigError, match="too narrow"):
+        SweepSpec(axis="d", vmin=1.0, vmax=1.0000000000000002, steps=10, params=PARAMS)
     spec = SweepSpec(axis="P_in", vmin=0.0, vmax=100.0, steps=11, params=PARAMS)
     assert spec.axis == "p_in"
     assert list(spec.values()) == [10.0 * k for k in range(11)]
@@ -75,7 +78,7 @@ NUMPY_GRIDS = [
     ("r_m2", 0.5, 1.0, 40), ("d", 12.2, 42.2, 600), ("p_in", 0.0, 27.0, 600),
     ("d", 4.0, 10.0, 7), ("d", 4.0, 8.0, 3),
     ("d", 0.45, 13.25, 2), ("r_m2", 0.1, 1.0, 2), ("l_s", 5e-324, 1e-323, 2),
-    ("d", 1e-9, 3e-9, 7), ("d", 1.0, 1.0000000000000002, 10), ("l_s", 5e-324, 1e-321, 3),
+    ("d", 1e-9, 3e-9, 7), ("l_s", 5e-324, 1e-321, 3),
     ("l_s", 1e-300, 3e-300, 11), ("p_in", 0.0, 1e300, 9),
     ("d", 1e300, 1.7976931348623157e308, 1000),
 ]
@@ -287,16 +290,28 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main([flag, str(tmp_path / "out")]) == 2, flag
     assert not (tmp_path / "out").exists()
     assert main(["--sweep", "l_s:5e-324:1e-323:10"]) == 2  # step underflows to 0
+    assert main(["--sweep", "d:1:1.0000000000000002:10"]) == 2  # rows repeat a value
     for extra in (["--sweep", "d:1:2:3"],  # a report and a sweep at once
                   ["--sweep", "d:1:2:3", "--csv", str(tmp_path / "out")],
                   ["--sweep", "d:1:2:3", "--svg", str(tmp_path / "out")]):
         assert main(["--safety", *extra]) == 2, extra
     assert not (tmp_path / "out").exists()
+    for extra in (["--config", str(tmp_path / "absent.cfg")],  # defaults and a config
+                  ["--config", str(ir)],
+                  ["--sweep", "d:1:2:3"],
+                  ["--sweep", "d:1:2:3", "--csv", str(tmp_path / "out")],
+                  ["--sweep", "d:1:2:3", "--svg", str(tmp_path / "out")],
+                  ["--safety"]):
+        assert main(["--print-defaults", *extra]) == 2, extra
+    assert not (tmp_path / "out").exists()
     assert main(["--no-such-flag"]) == 2  # argparse usage error
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "lam = " not in captured.out  # no defaults printed beside an error
+    err = captured.err
     assert "configuration error" in err
     assert "wavelength 1550.0 nm outside" in err and "need --sweep" in err
     assert "too narrow" in err and "--safety prints a report" in err
+    assert "--print-defaults prints the defaults" in err
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
