@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep one parameter (axes: d, p_in, r_m2, l_s)")
     parser.add_argument("--csv", metavar="PATH", help="write sweep rows as CSV")
     parser.add_argument("--svg", metavar="PATH", help="write sweep chart as SVG")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=int, metavar="N",
                         help="worker processes for sweeps (default: 1)")
     parser.add_argument("--safety", action="store_true",
                         help="print the exposure-limit report and exit")
@@ -96,10 +96,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        if (args.csv or args.svg) and not args.sweep:
-            raise ConfigError("--csv and --svg write sweep rows and need --sweep")
+        jobs = 1 if args.jobs is None else args.jobs
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+        if (args.csv or args.svg or args.jobs is not None) and not args.sweep:
+            raise ConfigError("--csv, --svg and --jobs apply to sweep rows and need --sweep")
         if args.safety and (args.sweep or args.csv or args.svg):
             raise ConfigError("--safety prints a report and takes no --sweep, --csv or --svg")
         if args.print_defaults:
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.sweep:
             spec = _parse_sweep_token(args.sweep, params)
-            rows = run_sweep(spec, max_workers=args.jobs)
+            rows = run_sweep(spec, max_workers=jobs)
             if args.csv:
                 emit_csv(rows, args.csv)
                 print(f"wrote {args.csv}", file=sys.stderr)

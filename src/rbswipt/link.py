@@ -1,19 +1,27 @@
 """End-to-end link evaluation: pump power in, charging power and rate out.
 
-`evaluate_link` chains the stages in this order:
+`evaluate_link` runs two stages.  The cavity stage reads only the geometry,
+gain, loss and crystal specs (`_CAVITY_SPECS`):
 
 1. cavity stability (an unstable or marginal cavity is dark);
 2. the diffraction factor and the equivalent reflectances at eta = 0;
-3. the lasing threshold at eta = 0 (a pump at or under it is dark);
-4. the mode radius w0 at the doubling crystal, and the intracavity powers
+3. the lasing threshold at eta = 0.
+
+It returns the dark result of an unstable cavity, or (gamma_diff, threshold).
+The pump stage passes a dark result through; otherwise it runs
+
+4. the threshold comparison (a pump at or under it is dark);
+5. the mode radius w0 at the doubling crystal, and the intracavity powers
    with frequency doubling;
-5. delivery of the fundamental to the photovoltaic receiver (power channel)
+6. delivery of the fundamental to the photovoltaic receiver (power channel)
    and maximum-power-point charging;
-6. delivery of the doubled carrier to the photodiode (information channel)
+7. delivery of the doubled carrier to the photodiode (information channel)
    and the achievable rate.
 
 The threshold comes before the mode because it does not depend on w0: a dark
-row pays only for the tests that make it dark.
+row pays only for the tests that make it dark.  A sweep whose axis feeds none
+of `_CAVITY_SPECS` (today only `p_in`) shares one cavity stage, run on its base,
+and runs the pump stage on each row.
 """
 
 from __future__ import annotations
@@ -45,8 +53,13 @@ _BELOW_THRESHOLD = LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
                               r_b=0.0, v_mpp=0.0, eta_shg=0.0, status="below_threshold")
 
 
-def evaluate_link(params: SystemParams) -> LinkResult:
-    """Evaluate the full transfer chain for one configuration."""
+# the spec objects the cavity stage reads
+_CAVITY_SPECS = ("geometry", "gain", "loss", "shg")
+
+
+def _cavity_stage(params: SystemParams) -> LinkResult | tuple[float, float]:
+    """Stages 1-3: the dark result of an unstable cavity, else the resolved
+    diffraction factor and the threshold pump.  Reads only _CAVITY_SPECS."""
     geom = params.geometry
     # a marginal cavity confines no Gaussian mode either, so it is dark too
     if optics.stability_check(geom) != "stable":
@@ -56,9 +69,18 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
     r1, r2 = resonator.equivalent_reflectances(params.loss, params.shg, gain, 0.0,
                                                geom.d, gamma_diff)
-    if params.p_in <= resonator.lasing_threshold(gain, r1, r2):
+    return gamma_diff, resonator.lasing_threshold(gain, r1, r2)
+
+
+def _pump_stage(cavity: LinkResult | tuple[float, float], params: SystemParams) -> LinkResult:
+    """Stages 4-7 for the cavity stage's result `cavity` of these params."""
+    if isinstance(cavity, LinkResult):
+        return cavity
+    gamma_diff, threshold = cavity
+    if params.p_in <= threshold:
         return _BELOW_THRESHOLD
 
+    geom, gain = params.geometry, params.gain
     w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
     sol = resonator.solve_intracavity(gain, params.shg, params.loss,
                                       params.p_in, w0, gamma_diff, geom.d)
@@ -95,3 +117,8 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     return LinkResult(p_recv_pt=p_recv_pt, p_recv_it=p_recv_it,
                       p_hat_charge=op.p_charge, r_b=r_b, v_mpp=op.v_charge,
                       eta_shg=sol.eta_shg, status="ok")
+
+
+def evaluate_link(params: SystemParams) -> LinkResult:
+    """Evaluate the full transfer chain for one configuration."""
+    return _pump_stage(_cavity_stage(params), params)

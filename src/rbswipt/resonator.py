@@ -215,9 +215,10 @@ def plane_wave_valid(shg: SHGSpec, w0: float, lam: float) -> bool:
 
 
 def _round_trip(r1: float, r2: float) -> float:
-    """r1*r2 of a cavity that loses power on each round trip."""
-    if not (0.0 < r1 <= 1.0 and 0.0 < r2 <= 1.0):
-        raise ValueError("reflection coefficients must be in (0, 1]")
+    """r1*r2 of a cavity that loses power on each round trip; 0 when an end is
+    opaque (r = 0, e.g. air loss that underflows exp(-alpha_air*d))."""
+    if not (0.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0):
+        raise ValueError("reflection coefficients must be in [0, 1]")
     rr = r1 * r2
     if rr >= 1.0:
         raise ValueError("lossless cavity divergence: r1*r2 must be < 1")
@@ -230,11 +231,14 @@ def rigrod_p4(gain: GainMediumSpec, r1: float, r2: float, p_in: float) -> float:
     P4 = [pi*a_g^2*i_s / ((1 + r1/r2)*(1 - r2*r1))]
          * [l_g*eta_c*p_in/(i_s*V) - ln(1/(r2*r1))]
 
-    Returns 0 when the bracket is non-positive (pump below threshold).
+    Returns 0 when the bracket is non-positive (pump below threshold) and for
+    an opaque cavity (r1*r2 = 0).
     """
     rr = _round_trip(r1, r2)
     if p_in < 0.0:
         raise ValueError("p_in must be non-negative")
+    if rr == 0.0:
+        return 0.0
     bracket = gain.l_g * gain.eta_c * p_in / (gain.i_s * gain.volume) - math.log(1.0 / rr)
     if bracket <= 0.0:
         return 0.0
@@ -246,9 +250,12 @@ def lasing_threshold(gain: GainMediumSpec, r1: float, r2: float) -> float:
     """Pump power at which the round-trip gain bracket crosses zero.
 
     Raises ValueError for the reflectances `rigrod_p4` refuses, so a lossless
-    cavity is an error here too, never a threshold of 0 W.
+    cavity is an error here too, never a threshold of 0 W.  An opaque cavity
+    (r1*r2 = 0) never lases: its threshold is infinite.
     """
     rr = _round_trip(r1, r2)
+    if rr == 0.0:
+        return math.inf
     return math.log(1.0 / rr) * gain.i_s * math.pi * gain.a_g**2 / gain.eta_c
 
 

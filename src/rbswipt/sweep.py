@@ -1,7 +1,10 @@
 """Parameter sweeps over the link chain, with CSV and SVG emitters.
 
 A sweep varies one configuration field over a uniform grid and evaluates the
-full link at each point.  Rows keep grid order.  The CSV layout is fixed:
+full link at each point.  Rows keep grid order.  A field that feeds none of
+the specs the link's cavity stage reads (today only `p_in`) leaves that stage
+the same on every row, so the sweep runs it once, on the base, and evaluates
+only the pump stage per row.  The CSV layout is fixed:
 
     axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status
 
@@ -12,11 +15,12 @@ labelled polylines on a shared abscissa.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .link import LinkResult, evaluate_link
-from .params import ConfigError, SystemParams, _with_field
+from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _pump_stage, evaluate_link
+from .params import _READERS, ConfigError, SystemParams, _with_field
 
 AXES = ("d", "p_in", "r_m2", "l_s")
 
@@ -77,6 +81,9 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkRe
     """
     values = spec.values()
     points = (_with_field(spec.params, spec.axis, v) for v in values)
+    evaluate = evaluate_link
+    if set(_READERS[spec.axis]).isdisjoint(_CAVITY_SPECS):  # every row has the base's cavity
+        evaluate = functools.partial(_pump_stage, _cavity_stage(spec.params))
     if max_workers > 1:
         import concurrent.futures  # only a pool needs it; keeps the import path lean
 
@@ -85,9 +92,9 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkRe
         # evaluate, and one chunk per worker leaves lasing rows unbalanced
         chunksize = -(-len(values) // (4 * max_workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate_link, points, chunksize=chunksize))
+            results = list(pool.map(evaluate, points, chunksize=chunksize))
     else:
-        results = list(map(evaluate_link, points))
+        results = list(map(evaluate, points))
     return list(zip(values, results))
 
 
@@ -96,9 +103,15 @@ def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:
     if not rows:
         raise ValueError("no sweep rows to write")
     lines = [CSV_HEADER]
+    # a result's fields, formatted once per result object: dark rows share one
+    tails: dict[int, str] = {}
     for value, r in rows:
-        lines.append(f"{value:.17g},{r.p_recv_pt:.17g},{r.p_recv_it:.17g},"
-                     f"{r.p_hat_charge:.17g},{r.r_b:.17g},{r.eta_shg:.17g},{r.status}")
+        tail = tails.get(id(r))
+        if tail is None:
+            tail = tails[id(r)] = (f",{r.p_recv_pt:.17g},{r.p_recv_it:.17g},"
+                                   f"{r.p_hat_charge:.17g},{r.r_b:.17g},"
+                                   f"{r.eta_shg:.17g},{r.status}")
+        lines.append(f"{value:.17g}{tail}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -119,8 +132,11 @@ def _scale(values: list[float], lo_px: float, hi_px: float):
     return to_px, vmin, vmax
 
 
-def _polyline(xs_px: list[float], ys_px: list[float], color: str) -> str:
-    pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs_px, ys_px)])
+def _polyline(xs_px: list[str], ys: list[float], to_px, color: str) -> str:
+    """`xs_px` are formatted pixel abscissae; each distinct ordinate of `ys`
+    is mapped and formatted once."""
+    y_px = {y: f"{to_px(y):.2f}" for y in set(ys)}
+    pts = " ".join([f"{x},{y_px[y]}" for x, y in zip(xs_px, ys)])
     return (f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{pts}"/>')
 
@@ -165,9 +181,9 @@ def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
         rv = r_min + frac * (r_max - r_min)
         parts.append(f'<text x="{x_hi + 8}" y="{r_px(rv):.2f}" font-size="12" '
                      f'text-anchor="start" fill="#d62728">{rv:.4g}</text>')
-    xs_px = [x_px(v) for v in xs]
-    parts.append(_polyline(xs_px, [p_px(v) for v in y_pow], "#1f77b4"))
-    parts.append(_polyline(xs_px, [r_px(v) for v in y_rate], "#d62728"))
+    xs_px = [f"{x_px(v):.2f}" for v in xs]
+    parts.append(_polyline(xs_px, y_pow, p_px, "#1f77b4"))
+    parts.append(_polyline(xs_px, y_rate, r_px, "#d62728"))
     parts.append(f'<text x="{(x_lo + x_hi) / 2}" y="{_SVG_H - 15}" font-size="14" '
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="{x_lo}" y="{_MARGIN_T - 12}" font-size="14" '

@@ -46,6 +46,13 @@ def test_lossless_cavity_is_an_error_not_dark():
             evaluate_link(dataclasses.replace(lossless, p_in=p_in))
 
 
+def test_opaque_cavity_is_dark():
+    # air loss that underflows exp(-alpha_air*d) to 0 leaves r2 = 0
+    for alpha_air, d in ((1000.0, 6.0), (100.0, 8.0), (100.0, 11.0)):
+        r = evaluate_link(dataclasses.replace(DEFAULT, alpha_air=alpha_air, d=d, p_in=1e6))
+        assert r.status == "below_threshold", (alpha_air, d)
+
+
 def test_non_ok_status_implies_all_zero():
     for params in (dataclasses.replace(DEFAULT, p_in=20.0),
                    dataclasses.replace(DEFAULT, d=12.2),

@@ -185,12 +185,15 @@ def test_rigrod_threshold_behaviour():
     assert rigrod_p4(GAIN, r1, r2, thr * 1.001) > 0.0
     assert rigrod_p4(GAIN, r1, r2, 0.0) == 0.0
     with pytest.raises(ValueError):
-        rigrod_p4(GAIN, 0.0, r2, 60.0)
-    with pytest.raises(ValueError):
-        rigrod_p4(GAIN, 1.0, 1.0, 60.0)
-    with pytest.raises(ValueError):
         rigrod_p4(GAIN, r1, r2, -1.0)
-    for bad in ((0.0, r2), (1.0, 1.0)):  # no threshold where rigrod_p4 has no balance
+    # an opaque end (r = 0, or r1*r2 underflowing to 0) never lases
+    for opaque in ((0.0, r2), (r1, 0.0), (1e-200, 1e-200)):
+        assert rigrod_p4(GAIN, *opaque, 1e9) == 0.0
+        assert lasing_threshold(GAIN, *opaque) == math.inf
+    # no threshold where rigrod_p4 has no balance: lossless or out of range
+    for bad in ((1.0, 1.0), (-0.5, r2), (r1, -1e-300), (1.5, r2), (r1, 1.0000000000000002)):
+        with pytest.raises(ValueError):
+            rigrod_p4(GAIN, *bad, 60.0)
         with pytest.raises(ValueError):
             lasing_threshold(GAIN, *bad)
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rbswipt import link
 from rbswipt.cli import main
 from rbswipt.it_channel import ConcentratorSpec, NoiseSpec
-from rbswipt.link import evaluate_link
+from rbswipt.link import LinkResult, evaluate_link
 from rbswipt.optics import CavityGeometry
 from rbswipt.params import ConfigError, SystemParams
 from rbswipt.pv import PVSpec
@@ -174,6 +175,64 @@ def test_parallel_matches_serial():
     assert serial == parallel  # bit-for-bit identical rows, same order
 
 
+PUMP_BASES = [SystemParams(), SystemParams(d=12.5), SystemParams(gamma_diff="model:pupil"),
+              SystemParams(gamma_diff=0.9)]  # lasing, unstable, mostly dark, lasing
+
+
+@pytest.mark.parametrize("base", PUMP_BASES, ids=["default", "unstable", "pupil", "0.9"])
+@pytest.mark.parametrize("lo, hi, steps", [(0.0, 120.0, 25), (31.0, 33.0, 21)])
+def test_pump_sweep_rows_equal_whole_evaluations(base, lo, hi, steps):
+    # a pump sweep shares one cavity stage; every row, serial or from worker
+    # processes, is still the whole evaluation of the point built by replace
+    spec = SweepSpec(axis="p_in", vmin=lo, vmax=hi, steps=steps, params=base)
+    expected = [repr(evaluate_link(dataclasses.replace(base, p_in=v))) for v in spec.values()]
+    for workers in (1, 2):
+        rows = run_sweep(spec, max_workers=workers)
+        assert [repr(r) for _, r in rows] == expected, workers
+
+
+def _count_calls(monkeypatch, names):
+    from rbswipt import optics, resonator
+
+    modules = {"optics": optics, "resonator": resonator}
+    seen = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        module, attr = name.split(".")
+        monkeypatch.setattr(modules[module], attr,
+                            counting(name, getattr(modules[module], attr)))
+    return seen
+
+
+def test_pump_sweep_solves_its_cavity_once(monkeypatch):
+    seen = _count_calls(monkeypatch, ("optics.stability_check", "resonator.lasing_threshold"))
+    rows = run_sweep(SweepSpec(axis="p_in", vmin=0.0, vmax=120.0, steps=50, params=PARAMS))
+    assert {r.status for _, r in rows} == {"ok", "below_threshold"}
+    assert seen == {"optics.stability_check": 1, "resonator.lasing_threshold": 1}
+
+
+def test_gap_sweep_checks_each_row_cavity(monkeypatch):
+    seen = _count_calls(monkeypatch, ("optics.stability_check",))
+    rows = run_sweep(SweepSpec(axis="d", vmin=12.2, vmax=42.2, steps=40, params=PARAMS))
+    assert seen == {"optics.stability_check": len(rows)}
+
+
+def test_pump_sweep_of_lossless_cavity_is_an_error():
+    lossless = dataclasses.replace(PARAMS, gamma_g=1.0, gamma_shg=1.0, gamma_l1=1.0,
+                                   gamma_l2=1.0, r_m1=1.0, r_m2=1.0, alpha_air=0.0,
+                                   gamma_diff=1.0)
+    spec = SweepSpec(axis="p_in", vmin=0.0, vmax=60.0, steps=4, params=lossless)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="lossless cavity"):
+            run_sweep(spec, max_workers=workers)
+
+
 # ------------------------------------------------------------------- emitters
 
 
@@ -216,6 +275,81 @@ def test_emit_svg_two_labelled_series(tmp_path):
     assert "d [m]" in labels
     with pytest.raises(ValueError):
         emit_plot_data([], str(tmp_path / "e.svg"))
+
+
+def _reference_csv(rows):
+    # one row at a time, each field formatted where it is written
+    lines = [CSV_HEADER] + [
+        f"{value:.17g},{r.p_recv_pt:.17g},{r.p_recv_it:.17g},"
+        f"{r.p_hat_charge:.17g},{r.r_b:.17g},{r.eta_shg:.17g},{r.status}"
+        for value, r in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_svg(rows, axis):
+    # the chart built one point at a time: every pixel mapped and formatted
+    # where it is written
+    def scale(values, lo_px, hi_px):
+        vmin, vmax = min(values), max(values)
+        if vmax == vmin:
+            vmin, vmax = vmin - 1.0, vmax + 1.0
+        return (lambda v: lo_px + (v - vmin) / (vmax - vmin) * (hi_px - lo_px)), vmin, vmax
+
+    xs = [v for v, _ in rows]
+    series = [([r.p_hat_charge for _, r in rows], "#1f77b4"),
+              ([r.r_b for _, r in rows], "#d62728")]
+    x_px, x_min, x_max = scale(xs, 80, 720)
+    (p_px, p_min, p_max), (r_px, r_min, r_max) = [scale(ys, 440, 40) for ys, _ in series]
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="500" '
+             'viewBox="0 0 800 500">',
+             '<rect x="0" y="0" width="800" height="500" fill="white"/>',
+             '<line x1="80" y1="440" x2="720" y2="440" stroke="black"/>',
+             '<line x1="80" y1="440" x2="80" y2="40" stroke="black"/>',
+             '<line x1="720" y1="440" x2="720" y2="40" stroke="black"/>']
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        xv = x_min + frac * (x_max - x_min)
+        pv_v = p_min + frac * (p_max - p_min)
+        rv = r_min + frac * (r_max - r_min)
+        parts += [f'<line x1="{x_px(xv):.2f}" y1="440" x2="{x_px(xv):.2f}" y2="445" '
+                  'stroke="black"/>',
+                  f'<text x="{x_px(xv):.2f}" y="460" font-size="12" '
+                  f'text-anchor="middle">{xv:.4g}</text>',
+                  f'<text x="72" y="{p_px(pv_v):.2f}" font-size="12" '
+                  f'text-anchor="end" fill="#1f77b4">{pv_v:.4g}</text>',
+                  f'<text x="728" y="{r_px(rv):.2f}" font-size="12" '
+                  f'text-anchor="start" fill="#d62728">{rv:.4g}</text>']
+    for (ys, color), to_px in zip(series, (p_px, r_px)):
+        pts = " ".join([f"{x_px(x):.2f},{to_px(y):.2f}" for x, y in zip(xs, ys)])
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
+                     f'points="{pts}"/>')
+    parts += [f'<text x="400.0" y="485" font-size="14" text-anchor="middle">{axis} [W]</text>',
+              '<text x="80" y="28" font-size="14" fill="#1f77b4">P_charge [W]</text>',
+              '<text x="720" y="28" font-size="14" text-anchor="end" '
+              'fill="#d62728">R_b [bit/s/Hz]</text>',
+              '</svg>']
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _lasing(k):
+    return LinkResult(p_recv_pt=5.4 + k / 3, p_recv_it=0.02 * k, p_hat_charge=1.2 + k / 7,
+                      r_b=10.0 + k / 11, v_mpp=0.42, eta_shg=0.003 * k, status="ok")
+
+
+@pytest.mark.parametrize("results", [
+    # flat: every row shares one of the two dark constants
+    [link._UNSTABLE, link._BELOW_THRESHOLD] * 20,
+    # not flat: shared dark constants, distinct lasing results, one result in
+    # two rows and two equal results in two objects
+    [link._BELOW_THRESHOLD] * 5 + [_lasing(k) for k in range(1, 9)] + [_lasing(3)] * 2
+    + [link._UNSTABLE] * 4 + [_lasing(8), link._BELOW_THRESHOLD, _lasing(0.5)],
+], ids=["flat", "mixed"])
+def test_writers_match_row_at_a_time_reference(tmp_path, results):
+    rows = [(31.0 + 0.125 * j, r) for j, r in enumerate(results)]
+    emit_csv(rows, str(tmp_path / "out.csv"))
+    emit_plot_data(rows, str(tmp_path / "out.svg"), axis="p_in")
+    assert (tmp_path / "out.csv").read_bytes() == _reference_csv(rows)
+    assert (tmp_path / "out.svg").read_bytes() == _reference_svg(rows, "p_in")
 
 
 # ------------------------------------------------------------------------ CLI
@@ -282,6 +416,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main(["--config", str(bad)]) == 2, line
     for jobs in ("0", "-2"):  # no worker count below 1 runs
         assert main(["--sweep", "d:4:8:3", "--jobs", jobs]) == 2, jobs
+    for extra in ([], ["--safety"], ["--print-defaults"]):  # workers with no sweep to run
+        for jobs in ("1", "3"):
+            assert main([*extra, "--jobs", jobs]) == 2, (extra, jobs)
     ir = tmp_path / "ir.cfg"
     ir.write_text("lam = 1550 nm\n", encoding="utf-8")
     assert main(["--config", str(ir)]) == 0  # the link model has no band limit
@@ -312,6 +449,20 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "wavelength 1550.0 nm outside" in err and "need --sweep" in err
     assert "too narrow" in err and "--safety prints a report" in err
     assert "--print-defaults prints the defaults" in err
+
+
+def test_cli_air_loss_underflow_is_dark(tmp_path, capsys):
+    # exp(-alpha_air*d) underflows r2 to 0: an opaque cavity, below any threshold
+    cfg = tmp_path / "air.cfg"
+    cfg.write_text("alpha_air = 1000\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 0
+    assert "status            below_threshold" in capsys.readouterr().out
+    cfg.write_text("alpha_air = 100\n", encoding="utf-8")  # r2 reaches 0 from d = 8 m
+    out = tmp_path / "air.csv"
+    assert main(["--config", str(cfg), "--sweep", "d:6:11:6", "--csv", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["6", "7", "8", "9", "10", "11"]
+    assert all(row.endswith(",0,0,0,0,0,below_threshold") for row in rows)
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
