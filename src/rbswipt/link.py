@@ -10,7 +10,7 @@ gain, loss and crystal specs (`_CAVITY_SPECS`):
 It returns the dark result of an unstable cavity, or (gamma_diff, threshold).
 The pump stage passes a dark result through; otherwise it runs
 
-4. the threshold comparison (a pump at or under it is dark);
+4. the threshold comparison, the one dark exit of a pump;
 5. the mode radius w0 at the doubling crystal, and the intracavity powers
    with frequency doubling;
 6. delivery of the fundamental to the photovoltaic receiver (power channel)
@@ -84,14 +84,10 @@ def _pump_stage(cavity: LinkResult | tuple[float, float], params: SystemParams) 
     w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
     sol = resonator.solve_intracavity(gain, params.shg, params.loss,
                                       params.p_in, w0, gamma_diff, geom.d)
-    # a pump within rounding of the threshold can still leave P4 at 0
-    if sol.status != "lasing":
-        return _BELOW_THRESHOLD
-
     gamma_air = resonator.air_transmittance(params.alpha_air, geom.d)
 
     # power channel: fundamental leakage through the output coupler
-    p_recv_pt = pv.received_pt_power(sol, gamma_pv=params.gamma_pv,
+    p_recv_pt = pv.received_pt_power(sol.p2, gamma_pv=params.gamma_pv,
                                      gamma_l3=params.gamma_l3,
                                      gamma_m5_nu=params.gamma_m5_nu,
                                      r_m2=params.r_m2,

@@ -248,7 +248,7 @@ def load_params(path: str | None = None, **overrides: float | int | str) -> Syst
         try:
             with open(path, encoding="utf-8") as fh:
                 values.update(parse_config_text(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     values.update(overrides)
     try:

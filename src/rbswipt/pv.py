@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .constants import E_CHARGE, K_BOLTZMANN
-from .resonator import IntracavitySolution
 
 _EXP_CLAMP = 700.0  # exp argument cap, avoids overflow on wild brackets
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,7 +68,7 @@ class OperatingPoint:
 
 
 def received_pt_power(
-    solution: IntracavitySolution,
+    p2: float,
     gamma_pv: float,
     gamma_l3: float,
     gamma_m5_nu: float,
@@ -79,22 +78,12 @@ def received_pt_power(
 ) -> float:
     """Beam power reaching the photovoltaic cell.
 
-    The output mirror transmits 1 - r_m2 of the incident wave P2 (lossless
+    The output mirror transmits 1 - r_m2 of the incident wave p2 (lossless
     coupler); the extracted beam then passes lens L2, air, the dichroic
     (transmittance gamma_m5_nu at the fundamental), lens L3 and the cell
     surface gamma_pv.
     """
-    if solution.status != "lasing":
-        return 0.0
-    return (
-        gamma_pv
-        * gamma_l3
-        * gamma_m5_nu
-        * (1.0 - r_m2)
-        * gamma_l2
-        * gamma_air
-        * solution.p2
-    )
+    return gamma_pv * gamma_l3 * gamma_m5_nu * (1.0 - r_m2) * gamma_l2 * gamma_air * p2
 
 
 def photo_current(spec: PVSpec, p_recv_pt: float) -> float:

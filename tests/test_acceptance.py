@@ -211,7 +211,7 @@ def test_criterion_5_solver_oracles():
         loss = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=r_m2,
                           alpha_air=1e-4, gamma_diff=gd)
         sol = solve_intracavity(gain, shg, loss, p_in, w0, gd, d)
-        assert sol.status == "lasing"
+        assert sol.p4 > 0.0
 
         r1_scale = shg.gamma_shg * math.sqrt(loss.gamma_l1**2 * loss.r_m1)
         r2 = (gain.gamma_g * math.exp(-loss.alpha_air * d)
@@ -291,7 +291,7 @@ def test_criterion_5_solver_oracles():
         gd = resonator.resolve_gamma_diff(params.loss, geom, params.a_g, params.lam)
         sol = solve_intracavity(params.gain, params.shg, params.loss,
                                 params.p_in, w0, gd, geom.d)
-        assert sol.status == "lasing"
+        assert sol.p4 > 0.0
 
     print(f"ACCEPTANCE 5: PASS — grid minima coincide (5 sets), "
           f"mppt vs 1e5-point scans worst gap {worst_gap:.2e} W (<= 1e-9), "

@@ -16,7 +16,6 @@ from rbswipt.pv import (
     received_pt_power,
     solve_operating_point,
 )
-from rbswipt.resonator import IntracavitySolution
 
 SPEC = PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1, t=298.0)
 I_PH = 3.247419385080777  # photocurrent at the reference operating point
@@ -47,21 +46,13 @@ def test_spec_validation_and_thermal_voltage():
 
 
 def test_received_pt_power_extraction_chain():
-    sol = IntracavitySolution(p2=65.99334088212247, p4=63.13267802278353,
-                              eta_shg=0.0033656774104948778,
-                              r1=0.9743562361617962, r2=0.9321200853730065,
-                              p_c=0.4249684565706579, status="lasing")
-    got = received_pt_power(sol, gamma_pv=0.995, gamma_l3=0.99,
+    p2 = 65.99334088212247  # wave incident on the output coupler at the reference point
+    got = received_pt_power(p2, gamma_pv=0.995, gamma_l3=0.99,
                             gamma_m5_nu=0.99, r_m2=0.915, gamma_l2=0.99,
                             gamma_air=math.exp(-6e-4))
-    expected = 0.995 * 0.99 * 0.99 * (1.0 - 0.915) * 0.99 * math.exp(-6e-4) * sol.p2
+    expected = 0.995 * 0.99 * 0.99 * (1.0 - 0.915) * 0.99 * math.exp(-6e-4) * p2
     assert math.isclose(got, expected, rel_tol=1e-12)
     assert math.isclose(got, 5.412365641801295, rel_tol=1e-12)
-    dark = IntracavitySolution(p2=0.0, p4=0.0, eta_shg=0.0,
-                               r1=0.98, r2=0.93, p_c=0.0, status="below_threshold")
-    assert received_pt_power(dark, gamma_pv=0.995, gamma_l3=0.99,
-                             gamma_m5_nu=0.99, r_m2=0.915, gamma_l2=0.99,
-                             gamma_air=1.0) == 0.0
 
 
 def test_photo_current():

@@ -414,6 +414,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                  "eta_a = 1.5", "d_e = 0"):
         bad.write_text(line + "\n", encoding="utf-8")
         assert main(["--config", str(bad)]) == 2, line
+    bad.write_bytes(b"p_in = 6\xff0\n")  # not UTF-8
+    assert main(["--config", str(bad)]) == 2
     for jobs in ("0", "-2"):  # no worker count below 1 runs
         assert main(["--sweep", "d:4:8:3", "--jobs", jobs]) == 2, jobs
     for extra in ([], ["--safety"], ["--print-defaults"]):  # workers with no sweep to run
