@@ -11,9 +11,10 @@ operating point for a given charging voltage follows from Kirchhoff's laws:
 
 All solves use bisection (unconditionally convergent; the diode exponential
 makes Newton steps overflow-prone), run down to bracket collapse so residuals
-sit at the floating-point floor.  The maximum power point is located by
-golden-section search over [0, v_oc] down to a bracket of _V_TOL, guarded by
-a coarse scan so a non-unimodal power curve falls back to a dense scan.
+sit at the floating-point floor.  The charging power P(v) = v*i(v) is strictly
+concave on [0, v_oc] (the proof is in `mppt`), so the maximum power point is
+found by one golden-section search over [0, v_oc], stopped once the bracket is
+narrower than 1e-9*v_oc.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .constants import E_CHARGE, K_BOLTZMANN
 
 _EXP_CLAMP = 700.0  # exp argument cap, avoids overflow on wild brackets
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_V_TOL = 1e-9  # V, golden-section bracket width at which MPPT stops
+_STEPS = math.ceil(math.log(1e9) / -math.log(_GOLDEN))  # 44 steps to a bracket < 1e-9*v_oc
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,19 @@ def kirchhoff_residuals(
 def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     """Maximum-power operating point over v_charge in [0, v_oc].
 
-    Golden-section search down to _V_TOL (well below the micro-volt level, so
-    the power error is far under a nanowatt and the result beats any
-    dense-scan sample of the unimodal curve).  A 65-point coarse scan guards
-    unimodality: if some coarse sample beats the search result, a 10000-point
-    dense scan takes over.
+    P(v) = v*i(v) is strictly concave on [0, v_oc], so one golden-section
+    search finds its only maximum.  With i = i_ph - i_d(v_d) - v_d/r_sh and
+    v_d = v + i*r_s, let G(v_d) = i_d'(v_d) + 1/r_sh: G > 0, and G rises with
+    v_d because i_d is convex (_EXP_CLAMP binds only above v_oc unless
+    i_ph/i0 exceeds e**700).  Differentiating the loop equation gives
+
+        di/dv = -1/(r_s + 1/G) < 0,    dv_d/dv = 1/(1 + r_s*G) > 0,
+
+    so G rises with v, di/dv falls and i is concave.  Hence
+    P'' = 2*i' + v*i'' < 0 for v >= 0.
+
+    The search stops once the bracket is narrower than 1e-9*v_oc, after
+    _STEPS = 44 steps and 2 + 44 solves whatever i_ph is.
     """
     if i_ph < 0.0:
         raise ValueError("i_ph must be non-negative")
@@ -201,7 +210,7 @@ def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     x2 = lo + _GOLDEN * (hi - lo)
     p1, p2 = point(x1), point(x2)
     best = p1 if p1.p_charge >= p2.p_charge else p2
-    while hi - lo > _V_TOL:
+    for _ in range(_STEPS):
         if p1.p_charge < p2.p_charge:
             lo, x1, p1 = x1, x2, p2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -214,22 +223,4 @@ def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
             best = p1
         if p2.p_charge >= best.p_charge:
             best = p2
-
-    coarse = [point(v_oc * k / 64.0) for k in range(1, 64)]
-    best_coarse = max(coarse, key=lambda op: op.p_charge)
-    if best_coarse.p_charge > best.p_charge:
-        # power curve not unimodal around the search result: dense fallback
-        dense = [point(v_oc * k / 9999.0) for k in range(1, 9999)]
-        best_dense = max(dense, key=lambda op: op.p_charge)
-        lo = max(0.0, best_dense.v_charge - v_oc / 9999.0)
-        hi = min(v_oc, best_dense.v_charge + v_oc / 9999.0)
-        while hi - lo > _V_TOL:
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            if point(x1).p_charge < point(x2).p_charge:
-                lo = x1
-            else:
-                hi = x2
-        candidate = point(0.5 * (lo + hi))
-        best = max((best, best_dense, candidate), key=lambda op: op.p_charge)
     return best

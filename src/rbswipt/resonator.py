@@ -54,6 +54,12 @@ class GainMediumSpec:
                 raise ValueError(f"{name} must be positive and finite")
         if self.eta_c > 1.0 or self.gamma_g > 1.0:
             raise ValueError("eta_c and gamma_g must be <= 1")
+        try:  # the Rigrod balance divides by each of these
+            products = (math.pi * self.a_g**2, self.volume, self.i_s * self.volume)
+        except OverflowError:  # a_g**2 beyond the double range
+            products = (math.inf,)
+        if not all(0.0 < x < math.inf for x in products):
+            raise ValueError("pi*a_g**2, volume and i_s*volume must be positive and finite")
 
     @property
     def volume(self) -> float:

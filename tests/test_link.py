@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from rbswipt.link import LinkResult, evaluate_link
+from rbswipt.link import LinkResult, _cavity_stage, evaluate_link
 from rbswipt.params import SystemParams
 
 DEFAULT = SystemParams()
@@ -94,19 +96,14 @@ def test_result_is_frozen_record():
         r.r_b = 0.0
 
 
-@pytest.mark.parametrize("d, counts", [
-    (6.0, {"resonator.rigrod_p4": 55, "pv.solve_operating_point": 108,
-           "pv._diode_current": 6013}),
-    (11.0, {"resonator.rigrod_p4": 56, "pv.solve_operating_point": 107,
-            "pv._diode_current": 6012}),
-])
-def test_solver_call_counts(monkeypatch, d, counts):
-    # Solver cost as machine-independent counts: each function is replaced by a
-    # counting wrapper in its module, so the calls other stages and the module
-    # itself make through that name are seen.  A change of solver moves these.
+def count_calls(monkeypatch, names, params):
+    """evaluate_link(params) and how often it calls each 'module.function'.
+
+    Each function is replaced by a counting wrapper in its module, so the calls
+    other stages and the module itself make through that name are seen."""
     from rbswipt import pv, resonator
 
-    seen = dict.fromkeys(counts, 0)
+    seen = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -115,12 +112,47 @@ def test_solver_call_counts(monkeypatch, d, counts):
         return wrapper
 
     modules = {"resonator": resonator, "pv": pv}
-    for name in counts:
-        module, attr = name.split(".")
-        monkeypatch.setattr(modules[module], attr,
-                            counting(name, getattr(modules[module], attr)))
-    assert evaluate_link(dataclasses.replace(DEFAULT, d=d)).status == "ok"
+    with monkeypatch.context() as patch:
+        for name in names:
+            module, attr = name.split(".")
+            patch.setattr(modules[module], attr,
+                          counting(name, getattr(modules[module], attr)))
+        result = evaluate_link(params)
+    return result, seen
+
+
+# MPPT: 2 + ceil(ln 1e9 / ln(1/phi)) = 46 solves; _diode_current: 2 ends, the
+# bisection midpoints and i_d per solve, plus open_circuit_voltage (54)
+@pytest.mark.parametrize("d, counts", [
+    (6.0, {"resonator.rigrod_p4": 55, "pv.solve_operating_point": 46,
+           "pv._diode_current": 2580}),
+    (11.0, {"resonator.rigrod_p4": 56, "pv.solve_operating_point": 46,
+            "pv._diode_current": 2624}),
+])
+def test_solver_call_counts(monkeypatch, d, counts):
+    # Solver cost as machine-independent counts.  A change of solver moves these.
+    result, seen = count_calls(monkeypatch, counts, dataclasses.replace(DEFAULT, d=d))
+    assert result.status == "ok"
     assert seen == counts
+
+
+def test_mppt_just_above_threshold(monkeypatch):
+    # v_oc is about 2e-7 V here: the MPPT costs what it costs at 60 W and finds
+    # the maximum an independent v_d-parametrised search finds
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import oracle
+    finally:
+        sys.path.pop(0)
+    _, threshold = _cavity_stage(DEFAULT)
+    near = dataclasses.replace(DEFAULT, p_in=threshold * (1.0 + 1e-9))
+    names = ["pv._diode_current"]
+    r, seen = count_calls(monkeypatch, names, near)
+    _, at_60w = count_calls(monkeypatch, names, DEFAULT)
+    assert DEFAULT.p_in == 60.0 and r.status == "ok"
+    assert seen["pv._diode_current"] <= 2 * at_60w["pv._diode_current"]
+    p_max, _ = oracle.mppt(near, near.rho * r.p_recv_pt)
+    assert math.isclose(r.p_hat_charge, p_max, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("change, status", [

@@ -11,11 +11,16 @@ Small crystals near threshold give carriers whose SNR is under the
 double-precision epsilon; `achievable_rate` evaluates log1p(snr), so their
 rate stays positive, and `test_weak_carrier_rate_stays_positive` pins that.
 
+`test_charging_power_is_concave_in_voltage` checks, over random cells and
+photocurrents, the concavity of P(v) that `pv.mppt` relies on.
+
 `test_sweep_grid_is_the_numpy_grid` checks the sweep grid against
 `numpy.linspace` over random valid specs on every axis.
 """
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +32,8 @@ from hypothesis import strategies as st  # noqa: E402
 from rbswipt import optics, resonator  # noqa: E402
 from rbswipt.link import evaluate_link  # noqa: E402
 from rbswipt.params import ConfigError, SystemParams  # noqa: E402
-from rbswipt.pv import open_circuit_voltage, photo_current  # noqa: E402
+from rbswipt.pv import (PVSpec, open_circuit_voltage, photo_current,  # noqa: E402
+                        solve_operating_point)
 from rbswipt.sweep import SweepSpec  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore:doubling efficiency")
@@ -102,6 +108,29 @@ def test_weak_carrier_rate_stays_positive():
     r = evaluate_link(dataclasses.replace(BASE, d_eff=1e-17))
     assert r.status == "ok" and r.p_recv_it > 0.0
     assert r.r_b > 0.0
+
+
+# PV cells drawn like test_acceptance's, with photocurrents from 1 nA to 30 A
+pv_cell = st.builds(PVSpec, rho=st.just(0.6),
+                    i0=st.floats(-8.0, -5.0).map(lambda e: 10.0 ** e),
+                    r_sh=st.floats(30.0, 300.0), r_s=st.floats(0.01, 0.08),
+                    n=st.floats(1.3, 1.9), n_s=st.integers(1, 2),
+                    t=st.floats(280.0, 320.0))
+photocurrent = st.floats(-9.0, math.log10(30.0)).map(lambda e: 10.0 ** e)
+
+
+@checked
+@given(pv_cell, photocurrent)
+def test_charging_power_is_concave_in_voltage(spec, i_ph):
+    # what licenses a bare golden-section MPPT: second differences of P(v) on
+    # a uniform grid over [0, v_oc] are never positive beyond rounding.  One
+    # p_charge = v*(v_d - v)/r_s is good to about 2*eps*v_oc*(v_oc/r_s + i_ph)
+    # (v_d to its last ulp and the current balance to eps*i_ph), and a second
+    # difference adds four such errors
+    v_oc = open_circuit_voltage(spec, i_ph)
+    p = [solve_operating_point(spec, i_ph, v_oc * k / 128).p_charge for k in range(129)]
+    floor = 8.0 * sys.float_info.epsilon * v_oc * (v_oc / spec.r_s + i_ph)
+    assert max(a - 2.0 * b + c for a, b, c in zip(p, p[1:], p[2:])) <= floor
 
 
 # each axis's valid range; d, p_in and l_s are unbounded above

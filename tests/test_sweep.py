@@ -411,7 +411,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--sweep", "r_m2:0.5:1.5:3"]) == 2  # end point out of range
     assert main(["--sweep", "d:-1:5:3"]) == 2  # start point out of range
     for line in ("p_in = nan", "p_in = inf", "i0 = inf", "gamma_diff = model:nearfield",
-                 "eta_a = 1.5", "d_e = 0"):
+                 "eta_a = 1.5", "d_e = 0",
+                 "a_g = 1e200",  # pi*a_g**2 overflows
+                 "i_s = 1e-200\nl_g = 1e-200"):  # i_s*volume underflows
         bad.write_text(line + "\n", encoding="utf-8")
         assert main(["--config", str(bad)]) == 2, line
     bad.write_bytes(b"p_in = 6\xff0\n")  # not UTF-8
