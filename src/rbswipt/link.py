@@ -11,12 +11,12 @@ It returns the dark result of an unstable cavity, or (gamma_diff, threshold).
 The pump stage passes a dark result through; otherwise it runs
 
 4. the threshold comparison, the one dark exit of a pump;
-5. the mode radius w0 at the doubling crystal, and the intracavity powers
-   with frequency doubling;
+5. the cavity mode, solved once, its radius w0 at the doubling crystal, and
+   the intracavity powers with frequency doubling;
 6. delivery of the fundamental to the photovoltaic receiver (power channel)
    and maximum-power-point charging;
-7. delivery of the doubled carrier to the photodiode (information channel)
-   and the achievable rate.
+7. delivery of the doubled carrier to the photodiode (information channel),
+   whose capture reads the same mode's spot, and the achievable rate.
 
 The threshold comes before the mode because it does not depend on w0: a dark
 row pays only for the tests that make it dark.  A sweep whose axis feeds none
@@ -81,7 +81,8 @@ def _pump_stage(cavity: LinkResult | tuple[float, float], params: SystemParams) 
         return _BELOW_THRESHOLD
 
     geom, gain = params.geometry, params.gain
-    w0 = optics.beam_radius(geom, gain.a_g, gain.lam, 0.0).w
+    mode = optics.cavity_mode(geom, gain.a_g, gain.lam)
+    w0 = optics.beam_radius(mode, 0.0)
     sol = resonator.solve_intracavity(gain, params.shg, params.loss,
                                       params.p_in, w0, gamma_diff, geom.d)
     gamma_air = resonator.air_transmittance(params.alpha_air, geom.d)
@@ -99,8 +100,7 @@ def _pump_stage(cavity: LinkResult | tuple[float, float], params: SystemParams) 
     # information channel: doubled carrier back through the cavity to the detector
     gamma_pd = params.gamma_pd
     if isinstance(gamma_pd, str):  # 'auto' -> concentrator capture model
-        spot = optics.beam_radius(geom, gain.a_g, gain.lam, geom.z_pv)
-        a_o = math.pi * spot.w ** 2
+        a_o = math.pi * optics.beam_radius(mode, geom.z_pv) ** 2
         gamma_pd = it_channel.pd_capture_ratio(
             it_channel.effective_area(params.concentrator), a_o)
     p_recv_it = it_channel.received_it_power(

@@ -5,8 +5,9 @@ focal length f with a mirror l behind it) facing each other across a free-space
 gap d measured between their pupils.  A single pass maps a ray through lens 1,
 the gap, and lens 2; the composite is symmetric (A = D), so the two stability
 parameters g1 = A and g2 = D coincide.  The mode follows from the geometry
-alone: `q_at` and `beam_radius` take a `CavityGeometry`, build the single pass
-from it and solve q(0) once per call.
+alone: `cavity_mode` builds the single pass of a stable cavity once, solves
+q(0) and the multimode factor once, and `q_at` and `beam_radius` read the
+resulting `CavityMode` at any axial position.
 
 Axial positions: z = 0 is the plane of the transmitter mirror (where the
 doubling crystal sits).  The lens planes and the receiver photovoltaic plane
@@ -30,19 +31,6 @@ import math
 from dataclasses import dataclass
 
 STABILITY_BOUNDARY_TOL = 1e-12  # |g1*g2 - 1| below this counts as marginal
-
-
-@dataclass(frozen=True)
-class RayMatrix:
-    """2x2 ray-transfer matrix; a, d dimensionless, b in m, c in 1/m."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
 
 
 @dataclass(frozen=True)
@@ -90,24 +78,20 @@ def rr_focal_length(f: float, l: float) -> float:
     return f * f / (2.0 * (l - f))
 
 
-def single_pass_abcd(geom: CavityGeometry) -> RayMatrix:
-    """Single-pass ray matrix of the cavity (pupil to pupil, symmetric: A = D).
+def single_pass_abcd(geom: CavityGeometry) -> tuple[float, float, float]:
+    """Entries (A, B, C) of the single-pass ray matrix (pupil to pupil,
+    symmetric: D = A).
 
     Entries are evaluated in factored form (delta = l - f) to keep the
-    determinant within ~1e-13 of unity; the expanded polynomials lose several
-    digits to cancellation at desk-scale geometry.
+    determinant A*A - B*C within ~1e-13 of unity; the expanded polynomials
+    lose several digits to cancellation at desk-scale geometry.
     """
     f, l, d = geom.f, geom.l, geom.d
     delta = l - f
     a = -1.0 + d * delta / (f * f)
     b = -2.0 * delta + d * (delta / f) ** 2
     c = d / (f * f)
-    return RayMatrix(a=a, b=b, c=c, d=a)
-
-
-def stability_product(abcd: RayMatrix) -> float:
-    """Stability parameter product g1*g2 = A*D."""
-    return abcd.a * abcd.d
+    return a, b, c
 
 
 def _classify(s: float) -> str:
@@ -126,19 +110,8 @@ def stability_check(geom: CavityGeometry) -> str:
     point), so only the g1*g2 = 1 boundary is marginal.  In gap distance the
     stable range is 0 <= d <= 4*f_rr.
     """
-    return _classify(stability_product(single_pass_abcd(geom)))
-
-
-def _mode_q0(geom: CavityGeometry) -> complex:
-    """Self-consistent q(0) of the single pass; raises unless the cavity is stable."""
-    abcd = single_pass_abcd(geom)
-    s = stability_product(abcd)
-    status = _classify(s)
-    if status != "stable":
-        raise ValueError(f"no self-consistent Gaussian mode: cavity is {status}")
-    # q(0) = j*|B|*sqrt((g2/g1) / (1 - g1*g2)); the pass is symmetric (g1 = g2),
-    # so the ratio is 1, which also covers the confocal point g1 = g2 = 0
-    return complex(0.0, abs(abcd.b) * math.sqrt(1.0 / (1.0 - s)))
+    a, _, _ = single_pass_abcd(geom)
+    return _classify(a * a)
 
 
 def _propagate(geom: CavityGeometry, q: complex, z: float) -> complex:
@@ -156,16 +129,6 @@ def _propagate(geom: CavityGeometry, q: complex, z: float) -> complex:
     return q + (z - prev)
 
 
-def q_at(geom: CavityGeometry, z: float) -> complex:
-    """Complex beam parameter q at axial position z in [0, z_pv].
-
-    Starts from the self-consistent q(0) of the single pass, then drifts
-    (q -> q + dz) and applies the thin-lens map q -> q/(-q/f + 1) at each lens
-    plane.  A lens acts at its own plane: q_at(z_lens) is the post-lens value.
-    """
-    return _propagate(geom, _mode_q0(geom), z)
-
-
 def fundamental_radius(q: complex, lam: float) -> float:
     """Fundamental-mode radius w00 = sqrt(-lam / (pi * Im(1/q)))."""
     im_inv = (1.0 / q).imag
@@ -175,22 +138,45 @@ def fundamental_radius(q: complex, lam: float) -> float:
 
 
 @dataclass(frozen=True)
-class BeamProfile:
-    """Beam radii at one axial position: fundamental w00, multimode w = factor * w00."""
+class CavityMode:
+    """The mode of a stable cavity at wavelength lam [m]: the self-consistent
+    q(0) [m] and the multimode factor m = w / w00 along the axis."""
 
-    w00: float
-    w: float
-    propagation_factor: float
+    geom: CavityGeometry
+    lam: float
+    q0: complex
+    m: float
 
 
-def beam_radius(geom: CavityGeometry, a_g: float, lam: float, z: float) -> BeamProfile:
-    """Fundamental and multimode beam radii at axial position z.
+def cavity_mode(geom: CavityGeometry, a_g: float, lam: float) -> CavityMode:
+    """The cavity's mode, anchored so that w = a_g at the gain plane l + f.
 
-    One q(0) is carried to the anchor plane l + f, where w = a_g, and to z.
+    Raises unless the cavity is stable.
     """
     if not a_g > 0.0:
         raise ValueError("gain aperture radius a_g must be positive")
-    q0 = _mode_q0(geom)
+    a, b, _ = single_pass_abcd(geom)
+    s = a * a
+    status = _classify(s)
+    if status != "stable":
+        raise ValueError(f"no self-consistent Gaussian mode: cavity is {status}")
+    # q(0) = j*|B|*sqrt((g2/g1) / (1 - g1*g2)); the pass is symmetric (g1 = g2),
+    # so the ratio is 1, which also covers the confocal point g1 = g2 = 0
+    q0 = complex(0.0, abs(b) * math.sqrt(1.0 / (1.0 - s)))
     m = a_g / fundamental_radius(_propagate(geom, q0, geom.l + geom.f), lam)
-    w00 = fundamental_radius(_propagate(geom, q0, z), lam)
-    return BeamProfile(w00=w00, w=m * w00, propagation_factor=m)
+    return CavityMode(geom=geom, lam=lam, q0=q0, m=m)
+
+
+def q_at(mode: CavityMode, z: float) -> complex:
+    """Complex beam parameter q at axial position z in [0, z_pv].
+
+    Carries q(0) by drifts (q -> q + dz) and the thin-lens map
+    q -> q/(-q/f + 1) at each lens plane.  A lens acts at its own plane:
+    q_at(z_lens) is the post-lens value.
+    """
+    return _propagate(mode.geom, mode.q0, z)
+
+
+def beam_radius(mode: CavityMode, z: float) -> float:
+    """Multimode beam radius w = m * w00 at axial position z."""
+    return mode.m * fundamental_radius(q_at(mode, z), mode.lam)

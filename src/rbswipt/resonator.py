@@ -21,8 +21,8 @@ solve_intracavity takes only such pumps.
 
 The diffraction factor follows from the cavity geometry alone:
 resolve_gamma_diff(loss, geom, a_g, lam) and diffraction_loss(geom, a_g, lam,
-model) take a CavityGeometry, and the 'pupil' model builds the beam there with
-optics.beam_radius.
+model) take a CavityGeometry, and the 'pupil' model builds the cavity's mode
+there with optics.cavity_mode and reads its radius with optics.beam_radius.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPSILON_0
-from .optics import CavityGeometry, beam_radius
+from .optics import CavityGeometry, beam_radius, cavity_mode
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def diffraction_loss(
     if model == "farfield":
         w = lam * geom.d / (math.pi * a_g)
     elif model == "pupil":
-        w = beam_radius(geom, a_g, lam, geom.l + geom.f + geom.d).w
+        w = beam_radius(cavity_mode(geom, a_g, lam), geom.l + geom.f + geom.d)
     else:
         raise ValueError(f"unknown diffraction-loss model {model!r}")
     if w == 0.0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _pump_stage, evaluate_link
@@ -77,21 +78,24 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkResult]]:
     """Evaluate the sweep; `max_workers > 1` fans out over processes.
 
-    Row order always follows the grid, independent of worker count.
+    The pool has at most one worker per row and per CPU, since a forking
+    pool starts all of its workers at once; with one it runs serially.  Row
+    order always follows the grid, independent of worker count.
     """
     values = spec.values()
     points = (_with_field(spec.params, spec.axis, v) for v in values)
     evaluate = evaluate_link
     if set(_READERS[spec.axis]).isdisjoint(_CAVITY_SPECS):  # every row has the base's cavity
         evaluate = functools.partial(_pump_stage, _cavity_stage(spec.params))
-    if max_workers > 1:
+    workers = min(max_workers, len(values), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures  # only a pool needs it; keeps the import path lean
 
         # about four chunks per worker, as multiprocessing.Pool.map cuts them:
         # one row per task costs more to send than a dark row costs to
         # evaluate, and one chunk per worker leaves lasing rows unbalanced
-        chunksize = -(-len(values) // (4 * max_workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+        chunksize = -(-len(values) // (4 * workers))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, points, chunksize=chunksize))
     else:
         results = list(map(evaluate, points))

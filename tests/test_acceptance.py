@@ -287,7 +287,7 @@ def test_criterion_5_solver_oracles():
         params = at(d=float(d))
         geom = params.geometry
         from rbswipt import optics, resonator
-        w0 = optics.beam_radius(geom, params.a_g, params.lam, 0.0).w
+        w0 = optics.beam_radius(optics.cavity_mode(geom, params.a_g, params.lam), 0.0)
         gd = resonator.resolve_gamma_diff(params.loss, geom, params.a_g, params.lam)
         sol = solve_intracavity(params.gain, params.shg, params.loss,
                                 params.p_in, w0, gd, geom.d)
@@ -300,7 +300,7 @@ def test_criterion_5_solver_oracles():
 
 
 def test_criterion_6_numerical_hygiene():
-    from rbswipt.optics import beam_radius, q_at
+    from rbswipt.optics import beam_radius, cavity_mode, fundamental_radius, q_at
 
     rng = np.random.default_rng(42)
     worst_det = 0.0
@@ -309,22 +309,24 @@ def test_criterion_6_numerical_hygiene():
         l = f * (1.0 + rng.uniform(1e-4, 1e-2))
         d_max = 2.0 * f * f / (l - f)
         geom = CavityGeometry(f, l, rng.uniform(0.05, 0.95) * d_max)
-        worst_det = max(worst_det, abs(single_pass_abcd(geom).det() - 1.0))
+        a, b, c = single_pass_abcd(geom)
+        worst_det = max(worst_det, abs(a * a - b * c - 1.0))
     assert worst_det <= 1e-12
 
     geom = DEFAULT.geometry
-    m_ref = beam_radius(geom, DEFAULT.a_g, DEFAULT.lam, geom.l + geom.f).propagation_factor
+    mode = cavity_mode(geom, DEFAULT.a_g, DEFAULT.lam)
     worst_ratio = 0.0
     for z in rng.uniform(0.0, geom.z_pv, size=10):
-        prof = beam_radius(geom, DEFAULT.a_g, DEFAULT.lam, float(z))
-        worst_ratio = max(worst_ratio, abs(prof.w / prof.w00 - m_ref) / m_ref)
+        w00 = fundamental_radius(q_at(mode, float(z)), DEFAULT.lam)
+        ratio = beam_radius(mode, float(z)) / w00
+        worst_ratio = max(worst_ratio, abs(ratio - mode.m) / mode.m)
     assert worst_ratio <= 1e-9
 
     worst_jump = 0.0
     boundaries = [0.0, geom.z_l1, geom.z_l2, geom.z_l3]
     for prev, z_lens in zip(boundaries, boundaries[1:]):
-        q_pre = q_at(geom, prev) + (z_lens - prev)
-        q_post = q_at(geom, z_lens)
+        q_pre = q_at(mode, prev) + (z_lens - prev)
+        q_post = q_at(mode, z_lens)
         jump = 1.0 / q_post - 1.0 / q_pre
         worst_jump = max(worst_jump, abs(jump + 1.0 / geom.f) * geom.f)
     assert worst_jump <= 1e-12

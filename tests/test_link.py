@@ -99,9 +99,10 @@ def test_result_is_frozen_record():
 def count_calls(monkeypatch, names, params):
     """evaluate_link(params) and how often it calls each 'module.function'.
 
-    Each function is replaced by a counting wrapper in its module, so the calls
-    other stages and the module itself make through that name are seen."""
-    from rbswipt import pv, resonator
+    Each function is replaced by a counting wrapper in its module and in every
+    module that imports it by name, so the calls other stages and the module
+    itself make through that name are seen."""
+    from rbswipt import optics, pv, resonator
 
     seen = dict.fromkeys(names, 0)
 
@@ -111,12 +112,15 @@ def count_calls(monkeypatch, names, params):
             return fn(*args, **kwargs)
         return wrapper
 
-    modules = {"resonator": resonator, "pv": pv}
+    modules = {"optics": optics, "resonator": resonator, "pv": pv}
     with monkeypatch.context() as patch:
         for name in names:
             module, attr = name.split(".")
-            patch.setattr(modules[module], attr,
-                          counting(name, getattr(modules[module], attr)))
+            fn = getattr(modules[module], attr)
+            wrapper = counting(name, fn)
+            for binder in modules.values():
+                if getattr(binder, attr, None) is fn:
+                    patch.setattr(binder, attr, wrapper)
         result = evaluate_link(params)
     return result, seen
 
@@ -132,6 +136,20 @@ def count_calls(monkeypatch, names, params):
 def test_solver_call_counts(monkeypatch, d, counts):
     # Solver cost as machine-independent counts.  A change of solver moves these.
     result, seen = count_calls(monkeypatch, counts, dataclasses.replace(DEFAULT, d=d))
+    assert result.status == "ok"
+    assert seen == counts
+
+
+@pytest.mark.parametrize("change, counts", [
+    ({}, {"optics.single_pass_abcd": 2, "optics.cavity_mode": 1}),
+    ({"d": 0.5, "p_in": 120.0, "gamma_diff": "model:pupil"},
+     {"optics.single_pass_abcd": 3, "optics.cavity_mode": 2}),
+])
+def test_cavity_mode_is_solved_once_per_lasing_point(monkeypatch, change, counts):
+    # The stability test builds the single pass once; the pump stage solves the
+    # mode once and reads both w0 and the detector spot from it.  The pupil
+    # diffraction model, resolved in the cavity stage, solves one of its own.
+    result, seen = count_calls(monkeypatch, counts, dataclasses.replace(DEFAULT, **change))
     assert result.status == "ok"
     assert seen == counts
 
@@ -172,8 +190,8 @@ def test_dark_point_builds_no_mode_and_solves_nothing(monkeypatch, change, statu
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, attr in ((optics, "beam_radius"), (resonator, "rigrod_p4"),
-                         (resonator, "solve_intracavity")):
+    for module, attr in ((optics, "cavity_mode"), (optics, "beam_radius"),
+                         (resonator, "rigrod_p4"), (resonator, "solve_intracavity")):
         monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
     assert DEFAULT.gamma_diff == "model:farfield"
     assert evaluate_link(dataclasses.replace(DEFAULT, **change)).status == status

@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 
 from rbswipt.optics import (
-    BeamProfile,
     CavityGeometry,
-    RayMatrix,
+    CavityMode,
     beam_radius,
+    cavity_mode,
     fundamental_radius,
     q_at,
     rr_focal_length,
     single_pass_abcd,
     stability_check,
-    stability_product,
 )
 
 DEFAULT = CavityGeometry(f=0.03, l=0.03015, d=6.0)
+A_G, LAM = 2e-3, 1064e-9
+
+
+def mode_of(geom: CavityGeometry) -> CavityMode:
+    return cavity_mode(geom, A_G, LAM)
 
 
 def random_stable_geometry(rng) -> CavityGeometry:
@@ -32,11 +36,6 @@ def random_stable_geometry(rng) -> CavityGeometry:
 # ---------------------------------------------------------------- ray matrices
 
 
-def test_ray_matrix_det():
-    m = RayMatrix(a=1.0, b=2.0, c=0.5, d=3.0)
-    assert m.det() == 1.0 * 3.0 - 2.0 * 0.5
-
-
 def test_rr_focal_length_reference_geometry():
     # f^2/(2*(l-f)) = 0.0009/0.0003 m
     assert abs(rr_focal_length(0.03, 0.03015) - 3.0) <= 1e-12
@@ -45,14 +44,13 @@ def test_rr_focal_length_reference_geometry():
 
 
 def test_single_pass_entries_factored_forms():
-    abcd = single_pass_abcd(DEFAULT)
+    a, b, c = single_pass_abcd(DEFAULT)  # symmetric pass: D = A
     delta = DEFAULT.l - DEFAULT.f
     f2 = DEFAULT.f**2
-    assert math.isclose(abcd.a, -1.0 + DEFAULT.d * delta / f2, rel_tol=1e-15)
-    assert math.isclose(abcd.b, -2.0 * delta + DEFAULT.d * (delta / DEFAULT.f) ** 2,
+    assert math.isclose(a, -1.0 + DEFAULT.d * delta / f2, rel_tol=1e-15)
+    assert math.isclose(b, -2.0 * delta + DEFAULT.d * (delta / DEFAULT.f) ** 2,
                         rel_tol=1e-15)
-    assert math.isclose(abcd.c, DEFAULT.d / f2, rel_tol=1e-15)
-    assert abcd.a == abcd.d  # symmetric pass
+    assert math.isclose(c, DEFAULT.d / f2, rel_tol=1e-15)
 
 
 def test_single_pass_unimodular_identity_exact_rationals():
@@ -71,8 +69,8 @@ def test_single_pass_unimodular_identity_exact_rationals():
 def test_single_pass_unimodular_floating_point():
     rng = np.random.default_rng(42)
     for _ in range(100):
-        geom = random_stable_geometry(rng)
-        assert abs(single_pass_abcd(geom).det() - 1.0) <= 1e-12
+        a, b, c = single_pass_abcd(random_stable_geometry(rng))
+        assert abs(a * a - b * c - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------------- stability
@@ -90,11 +88,11 @@ def test_stability_classification_over_gap():
 
 
 def test_stability_product_confocal_point():
-    # d = 2 f_rr: A = 0, the product bottoms out at 0 and stays stable
-    s = stability_product(single_pass_abcd(CavityGeometry(0.03, 0.03015, 6.0)))
-    assert abs(s) < 1e-28
-    assert 0.25 - 1e-12 <= stability_product(
-        single_pass_abcd(CavityGeometry(0.03, 0.03015, 3.0))) <= 0.25 + 1e-12
+    # d = 2 f_rr: A = 0, the product g1*g2 = A*A bottoms out at 0 and stays stable
+    a, _, _ = single_pass_abcd(CavityGeometry(0.03, 0.03015, 6.0))
+    assert abs(a * a) < 1e-28
+    a, _, _ = single_pass_abcd(CavityGeometry(0.03, 0.03015, 3.0))
+    assert 0.25 - 1e-12 <= a * a <= 0.25 + 1e-12
 
 
 def test_geometry_validation():
@@ -142,10 +140,10 @@ def test_mode_q_is_round_trip_self_consistent():
     rng = np.random.default_rng(7)
     for _ in range(20):
         geom = random_stable_geometry(rng)
-        abcd = single_pass_abcd(geom)
-        q0 = q_at(geom, 0.0)
+        a, b, c = single_pass_abcd(geom)
+        q0 = q_at(mode_of(geom), 0.0)
         # round trip = two symmetric passes; q0 must be its Moebius fixed point
-        single = np.array([[abcd.a, abcd.b], [abcd.c, abcd.d]])
+        single = np.array([[a, b], [c, a]])
         rt = single @ single
         assert abs(_mobius(rt, q0) - q0) <= 1e-9 * abs(q0)
         # closed form j*sqrt(-B/C) of the round trip
@@ -155,7 +153,8 @@ def test_mode_q_is_round_trip_self_consistent():
 
 def test_q0_reference_value():
     # purely imaginary with Rayleigh range |B| at the confocal default gap
-    q0 = q_at(DEFAULT, 0.0)
+    q0 = q_at(mode_of(DEFAULT), 0.0)
+    assert q0 == mode_of(DEFAULT).q0
     assert q0.real == 0.0
     assert math.isclose(q0.imag, 1.5e-4, rel_tol=1e-12)
 
@@ -164,32 +163,38 @@ def test_q_propagation_matches_independent_matrix_chain():
     rng = np.random.default_rng(11)
     for _ in range(10):
         geom = random_stable_geometry(rng)
-        q0 = q_at(geom, 0.0)
+        mode = mode_of(geom)
+        q0 = q_at(mode, 0.0)
         for z in rng.uniform(0.0, geom.z_pv, size=6):
             expected = _mobius(_axis_matrix(geom, float(z)), q0)
-            got = q_at(geom, float(z))
+            got = q_at(mode, float(z))
             assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
 def test_lens_jumps_in_inverse_q():
     # across each lens plane, 1/q drops by exactly 1/f
     for geom in (DEFAULT, CavityGeometry(0.025, 0.02512, 2.3)):
+        mode = mode_of(geom)
         boundaries = [0.0, geom.z_l1, geom.z_l2, geom.z_l3]
         for prev, z_lens in zip(boundaries, boundaries[1:]):
-            q_pre = q_at(geom, prev) + (z_lens - prev)
-            q_post = q_at(geom, z_lens)
+            q_pre = q_at(mode, prev) + (z_lens - prev)
+            q_post = q_at(mode, z_lens)
             jump = 1.0 / q_post - 1.0 / q_pre
             assert abs(jump - (-1.0 / geom.f)) <= 1e-12 / geom.f
 
 
 def test_q_at_domain_errors():
     with pytest.raises(ValueError):
-        q_at(DEFAULT, -0.1)
+        q_at(mode_of(DEFAULT), -0.1)
     with pytest.raises(ValueError):
-        q_at(DEFAULT, DEFAULT.z_pv + 0.1)
+        q_at(mode_of(DEFAULT), DEFAULT.z_pv + 0.1)
+    with pytest.raises(ValueError):
+        beam_radius(mode_of(DEFAULT), DEFAULT.z_pv + 0.1)
     bad = CavityGeometry(0.03, 0.03015, 13.0)
     with pytest.raises(ValueError):
-        q_at(bad, 0.0)
+        mode_of(bad)
+    with pytest.raises(ValueError, match="a_g must be positive"):
+        cavity_mode(DEFAULT, 0.0, LAM)
 
 
 # ---------------------------------------------------------------- beam radii
@@ -205,39 +210,40 @@ def test_fundamental_radius_waist_formula():
 
 
 def test_propagation_factor_anchor():
-    prof = beam_radius(DEFAULT, 2e-3, 1064e-9, DEFAULT.l + DEFAULT.f)
-    assert math.isclose(prof.propagation_factor, 1.4030026544477399, rel_tol=1e-12)
+    mode = mode_of(DEFAULT)
+    assert math.isclose(mode.m, 1.4030026544477399, rel_tol=1e-12)
     # anchor plane: multimode radius equals the gain aperture radius
-    assert math.isclose(prof.w, 2e-3, rel_tol=1e-12)
+    assert math.isclose(beam_radius(mode, DEFAULT.l + DEFAULT.f), 2e-3, rel_tol=1e-12)
 
 
 def test_beam_radius_reference_values():
-    at0 = beam_radius(DEFAULT, 2e-3, 1064e-9, 0.0)
-    assert math.isclose(at0.w00, 7.127570261662315e-06, rel_tol=1e-12)
-    assert math.isclose(at0.w, 9.999999996875e-06, rel_tol=1e-12)
-    at_pv = beam_radius(DEFAULT, 2e-3, 1064e-9, DEFAULT.z_pv)
-    assert math.isclose(at_pv.w, 0.002828462479422351, rel_tol=1e-12)
-    assert isinstance(at_pv, BeamProfile)
+    mode = mode_of(DEFAULT)
+    assert math.isclose(fundamental_radius(q_at(mode, 0.0), LAM),
+                        7.127570261662315e-06, rel_tol=1e-12)
+    assert math.isclose(beam_radius(mode, 0.0), 9.999999996875e-06, rel_tol=1e-12)
+    assert math.isclose(beam_radius(mode, DEFAULT.z_pv), 0.002828462479422351,
+                        rel_tol=1e-12)
 
 
 def test_multimode_scaling_constant_along_axis():
     rng = np.random.default_rng(3)
-    m_ref = beam_radius(DEFAULT, 2e-3, 1064e-9, DEFAULT.l + DEFAULT.f).propagation_factor
+    mode = mode_of(DEFAULT)
+    m_ref = A_G / fundamental_radius(q_at(mode, DEFAULT.l + DEFAULT.f), LAM)
     for z in rng.uniform(0.0, DEFAULT.z_pv, size=10):
-        prof = beam_radius(DEFAULT, 2e-3, 1064e-9, float(z))
-        assert abs(prof.w / prof.w00 - m_ref) <= 1e-9 * m_ref
+        w00 = fundamental_radius(q_at(mode, float(z)), LAM)
+        assert abs(beam_radius(mode, float(z)) / w00 - m_ref) <= 1e-9 * m_ref
 
 
 def test_beam_radius_matches_mode_carried_by_q_at():
-    a_g, lam = 2e-3, 1064e-9
     for d in (0.45, 1.0, 6.0, 11.9):
         geom = CavityGeometry(0.03, 0.03015, d)
-        m = a_g / fundamental_radius(q_at(geom, geom.l + geom.f), lam)
+        mode = mode_of(geom)
+        assert (mode.geom, mode.lam) == (geom, LAM)
+        m = A_G / fundamental_radius(q_at(mode, geom.l + geom.f), LAM)
+        assert mode.m == m
         for z in (0.0, geom.l + geom.f, geom.z_pv):
-            w00 = fundamental_radius(q_at(geom, z), lam)
-            prof = beam_radius(geom, a_g, lam, z)
-            assert (prof.w00, prof.w, prof.propagation_factor) == (w00, m * w00, m)
+            assert beam_radius(mode, z) == m * fundamental_radius(q_at(mode, z), LAM)
     # d = 0 and d = 4 f_rr are marginal, d = 13 m is unstable: no mode
     for d in (0.0, 12.0, 13.0):
         with pytest.raises(ValueError, match="no self-consistent Gaussian mode"):
-            beam_radius(CavityGeometry(0.03, 0.03015, d), a_g, lam, 0.0)
+            mode_of(CavityGeometry(0.03, 0.03015, d))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rbswipt.constants import C_LIGHT, EPSILON_0
-from rbswipt.optics import CavityGeometry, beam_radius
+from rbswipt.optics import CavityGeometry, beam_radius, cavity_mode
 from rbswipt.resonator import (
     GainMediumSpec,
     LossBudget,
@@ -219,7 +219,7 @@ def test_threshold_is_the_exact_edge_of_lasing(draw_gain):
         loss = dataclasses.replace(LOSS, r_m2=rng.uniform(0.5, 0.999),
                                    alpha_air=rng.uniform(0.0, 1e-3))
         gd = diffraction_loss(geom, gain.a_g, gain.lam)
-        w0 = beam_radius(geom, gain.a_g, gain.lam, 0.0).w
+        w0 = beam_radius(cavity_mode(geom, gain.a_g, gain.lam), 0.0)
         r1, r2 = equivalent_reflectances(loss, SHG, gain, 0.0, geom.d, gd)
         thr = lasing_threshold(gain, r1, r2)
         p_in = thr
@@ -338,7 +338,7 @@ def test_solve_intracavity_matches_bisection_oracle():
     seen = set()
     for d, l_s, d_eff, p_in in cases:
         geom = CavityGeometry(f=0.03, l=0.03015, d=d)
-        w0 = beam_radius(geom, GAIN.a_g, GAIN.lam, 0.0).w
+        w0 = beam_radius(cavity_mode(geom, GAIN.a_g, GAIN.lam), 0.0)
         gd = diffraction_loss(geom, GAIN.a_g, GAIN.lam)
         shg = dataclasses.replace(SHG, l_s=l_s, d_eff=d_eff)
         status, eta, p4 = _bisection_oracle(GAIN, shg, LOSS, p_in, w0, gd, d)

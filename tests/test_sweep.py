@@ -175,6 +175,54 @@ def test_parallel_matches_serial():
     assert serial == parallel  # bit-for-bit identical rows, same order
 
 
+def _recording_pool(monkeypatch, cpus):
+    """Replace the process pool by one that records its size and maps
+    in-process, and report `cpus` CPUs; returns the list of pool sizes."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, steps, cpus, pools", [
+    (5000, 3, 8, [3]),   # no more workers than rows
+    (5000, 40, 8, [8]),  # nor than CPUs
+    (4, 40, 8, [4]),
+    (2, 40, 1, []),      # one CPU, or an unknown count: serial, no pool
+    (2, 40, None, []),
+])
+def test_pool_has_at_most_one_worker_per_row_and_cpu(monkeypatch, jobs, steps, cpus, pools):
+    # a forking pool starts all its workers at once, so an oversized --jobs
+    # would start that many interpreters
+    spec = SweepSpec(axis="d", vmin=12.2, vmax=42.2, steps=steps, params=PARAMS)
+    serial = run_sweep(spec)
+    sizes = _recording_pool(monkeypatch, cpus)
+    assert run_sweep(spec, max_workers=jobs) == serial
+    assert sizes == pools
+
+
+def test_cli_jobs_beyond_rows_starts_one_worker_per_row(monkeypatch, capsys):
+    sizes = _recording_pool(monkeypatch, 8)
+    assert main(["--sweep", "d:1:2:3", "--jobs", "5000"]) == 0
+    assert sizes == [3]
+
+
 PUMP_BASES = [SystemParams(), SystemParams(d=12.5), SystemParams(gamma_diff="model:pupil"),
               SystemParams(gamma_diff=0.9)]  # lasing, unstable, mostly dark, lasing
 
