@@ -38,6 +38,12 @@ class ConcentratorSpec:
             raise ValueError("t_s must be in (0, 1]")
         if not 0.0 <= self.psi < math.inf:
             raise ValueError("psi must be non-negative and finite")
+        try:  # concentrator_gain divides n_c**2 by sin(psi_c)**2
+            powers = (self.n_c**2, math.sin(self.psi_c) ** 2)
+        except OverflowError:
+            powers = (math.inf,)
+        if not all(0.0 < x < math.inf for x in powers):
+            raise ValueError("n_c**2 and sin(psi_c)**2 must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ class CavityGeometry:
                 f"lens-mirror interval l must be positive and finite, got {self.l}")
         if not 0.0 <= self.d < math.inf:
             raise ValueError(f"gap d must be non-negative and finite, got {self.d}")
+        # single_pass_abcd divides by f*f and squares (l - f)/f
+        ratio = (self.l - self.f) / self.f
+        if not (0.0 < self.f * self.f < math.inf and ratio * ratio < math.inf):
+            raise ValueError("f*f and ((l - f)/f)**2 must be positive and finite")
 
     @property
     def z_l1(self) -> float:

@@ -12,7 +12,7 @@ objects that read that field and shares the rest.
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
 `l_s = 0.4 mm`, `d_eff = 4.7 pm/V`, `eta_c = 43.9 %`); bare numbers are SI.
-`gamma_diff` accepts a number or `model:farfield` / `model:pupil`;
+`gamma_diff` accepts a number or `model:farfield`;
 `gamma_pd` accepts a number or `auto` (concentrator capture model).
 """
 

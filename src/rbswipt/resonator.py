@@ -19,10 +19,10 @@ written once (_bracket).  lasing_threshold is the last pump at which it is
 <= 0, so a pump lases exactly when it exceeds the threshold, and
 solve_intracavity takes only such pumps.
 
-The diffraction factor follows from the cavity geometry alone:
-resolve_gamma_diff(loss, geom, a_g, lam) and diffraction_loss(geom, a_g, lam,
-model) take a CavityGeometry, and the 'pupil' model builds the cavity's mode
-there with optics.cavity_mode and reads its radius with optics.beam_radius.
+The diffraction factor is a user constant or the far-field model:
+resolve_gamma_diff(loss, geom, a_g, lam) passes a constant through and
+otherwise evaluates diffraction_loss(geom, a_g, lam), which reads the gap of
+a CavityGeometry and no cavity mode.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPSILON_0
-from .optics import CavityGeometry, beam_radius, cavity_mode
+from .optics import CavityGeometry
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,14 @@ class GainMediumSpec:
                 raise ValueError(f"{name} must be positive and finite")
         if self.eta_c > 1.0 or self.gamma_g > 1.0:
             raise ValueError("eta_c and gamma_g must be <= 1")
-        try:  # the Rigrod balance divides by each of these
-            products = (math.pi * self.a_g**2, self.volume, self.i_s * self.volume)
-        except OverflowError:  # a_g**2 beyond the double range
+        try:  # the Rigrod balance and the doubling coefficient divide by each of these
+            products = (math.pi * self.a_g**2, self.volume, self.i_s * self.volume,
+                        EPSILON_0 * C_LIGHT * self.lam**2)
+        except OverflowError:  # a_g**2 or lam**2 beyond the double range
             products = (math.inf,)
         if not all(0.0 < x < math.inf for x in products):
-            raise ValueError("pi*a_g**2, volume and i_s*volume must be positive and finite")
+            raise ValueError("pi*a_g**2, volume, i_s*volume and eps0*c*lam**2 "
+                             "must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -86,9 +88,12 @@ class SHGSpec:
             raise ValueError("n0 must exceed 1")
         if self.gamma_shg > 1.0:
             raise ValueError("gamma_shg must be <= 1")
-
-
-DIFFRACTION_MODELS = ("model:farfield", "model:pupil")
+        try:  # shg_conversion_coefficient squares d_eff and l_s and cubes n0
+            powers = (self.d_eff**2, self.l_s**2, self.n0**3)
+        except OverflowError:
+            powers = (math.inf,)
+        if not all(x < math.inf for x in powers):
+            raise ValueError("d_eff**2, l_s**2 and n0**3 must be finite")
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ class LossBudget:
 
     gamma_l1/gamma_l2: lens transmittances; r_m1/r_m2: mirror reflectivities;
     alpha_air: air attenuation [1/m]; gamma_diff: diffraction spillover factor,
-    either a constant in (0, 1] or one of DIFFRACTION_MODELS, resolved per
-    geometry by resolve_gamma_diff.
+    either a constant in (0, 1] or "model:farfield", which resolve_gamma_diff
+    evaluates per geometry with diffraction_loss.
     """
 
     gamma_l1: float
@@ -115,12 +120,9 @@ class LossBudget:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         if not 0.0 <= self.alpha_air < math.inf:
             raise ValueError("alpha_air must be non-negative and finite")
-        if isinstance(self.gamma_diff, str):
-            if self.gamma_diff not in DIFFRACTION_MODELS:
-                raise ValueError(f"gamma_diff must be a number or one of "
-                                 f"{', '.join(DIFFRACTION_MODELS)}, got {self.gamma_diff!r}")
-        elif not 0.0 < float(self.gamma_diff) <= 1.0:
-            raise ValueError(f"gamma_diff must be in (0, 1], got {self.gamma_diff}")
+        gd = self.gamma_diff
+        if gd != "model:farfield" and (isinstance(gd, str) or not 0.0 < float(gd) <= 1.0):
+            raise ValueError(f"gamma_diff must be in (0, 1] or 'model:farfield', got {gd!r}")
 
 
 @dataclass(frozen=True)
@@ -143,42 +145,28 @@ def air_transmittance(alpha_air: float, d: float) -> float:
     return math.exp(-alpha_air * d)
 
 
-def diffraction_loss(
-    geom: CavityGeometry, a_g: float, lam: float, model: str = "farfield"
-) -> float:
+def diffraction_loss(geom: CavityGeometry, a_g: float, lam: float) -> float:
     """Per-pass fraction of the beam captured by the receiving aperture a_g.
 
-    Both models score a Gaussian of radius w against a centred circular
-    aperture of radius a_g: captured fraction 1 - exp(-2*a_g^2/w^2).
-
-    'farfield' (default): w is the far-field divergence spread of the
-    aperture-filling mode over one gap length, w = lam*d/(pi*a_g).  Goes to 1
-    as d -> 0 and decays smoothly with distance.
-
-    'pupil': w is the multimode beam radius at the receiver pupil plane
-    z = l + f + d.  Much more pessimistic at desk scales, because the anchored
-    multimode radius there is comparable to the aperture itself.
+    A Gaussian of radius w against a centred circular aperture of radius a_g
+    captures 1 - exp(-2*a_g^2/w^2).  Here w is the far-field divergence spread
+    of the aperture-filling mode over one gap length, w = lam*d/(pi*a_g), so
+    the fraction goes to 1 as d -> 0 and decays smoothly with distance.
     """
-    if model == "farfield":
-        w = lam * geom.d / (math.pi * a_g)
-    elif model == "pupil":
-        w = beam_radius(cavity_mode(geom, a_g, lam), geom.l + geom.f + geom.d)
-    else:
-        raise ValueError(f"unknown diffraction-loss model {model!r}")
-    if w == 0.0:
+    w = lam * geom.d / (math.pi * a_g)
+    w2 = w * w
+    if w2 == 0.0:  # d = 0, or a spread too small to square
         return 1.0
-    return 1.0 - math.exp(-2.0 * a_g * a_g / (w * w))
+    return 1.0 - math.exp(-2.0 * a_g * a_g / w2)
 
 
 def resolve_gamma_diff(
     loss: LossBudget, geom: CavityGeometry, a_g: float, lam: float
 ) -> float:
-    """Resolve the diffraction factor: user constant passes through unchanged,
-    a DIFFRACTION_MODELS name dispatches to diffraction_loss."""
+    """Resolve the diffraction factor: a user constant passes through
+    unchanged, "model:farfield" is diffraction_loss of this geometry."""
     gd = loss.gamma_diff
-    if isinstance(gd, str):
-        return diffraction_loss(geom, a_g, lam, model=gd.removeprefix("model:"))
-    return float(gd)
+    return diffraction_loss(geom, a_g, lam) if isinstance(gd, str) else float(gd)
 
 
 def equivalent_reflectances(

@@ -86,13 +86,15 @@ def test_validation_rejects_out_of_range():
     with pytest.raises(ValueError):
         SystemParams(gamma_pd=1.5)
     with pytest.raises(ValueError):
-        SystemParams(gamma_diff="pupil")  # needs the model: prefix
+        SystemParams(gamma_diff="farfield")  # needs the model: prefix
+    with pytest.raises(ValueError):
+        SystemParams(gamma_diff="model:pupil")  # the pupil model is deleted
     for field in dataclasses.fields(SystemParams):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 SystemParams(**{field.name: value})
     assert SystemParams(gamma_pd=0.5).gamma_pd == 0.5
-    assert SystemParams(gamma_diff="model:pupil").gamma_diff == "model:pupil"
+    assert SystemParams(gamma_diff="model:farfield").gamma_diff == "model:farfield"
 
 
 # a valid value other than the default, for fields where 0.99 x default is not one
@@ -157,8 +159,8 @@ def test_parse_units():
 
 
 def test_parse_strings_and_integers():
-    got = parse_config_text("gamma_diff = model:pupil\ngamma_pd = auto\nn_s = 2\n")
-    assert got["gamma_diff"] == "model:pupil"
+    got = parse_config_text("gamma_diff = model:farfield\ngamma_pd = auto\nn_s = 2\n")
+    assert got["gamma_diff"] == "model:farfield"
     assert got["gamma_pd"] == "auto"
     assert got["n_s"] == 2 and isinstance(got["n_s"], int)
     assert parse_config_text("gamma_pd = 0.5")["gamma_pd"] == 0.5

@@ -14,6 +14,10 @@ rate stays positive, and `test_weak_carrier_rate_stays_positive` pins that.
 `test_charging_power_is_concave_in_voltage` checks, over random cells and
 photocurrents, the concavity of P(v) that `pv.mppt` relies on.
 
+`test_link_matches_the_end_to_end_oracle` checks `evaluate_link` against the
+independent model of the whole chain in `bench/oracle.py`, over the doubling
+box widened with the loss factors.
+
 `test_sweep_grid_is_the_numpy_grid` checks the sweep grid against
 `numpy.linspace` over random valid specs on every axis.
 """
@@ -21,12 +25,13 @@ photocurrents, the concavity of P(v) that `pv.mppt` relies on.
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rbswipt import optics, resonator  # noqa: E402
@@ -43,11 +48,11 @@ DARK = ("unstable", "below_threshold")
 NUMERIC = ("p_recv_pt", "p_recv_it", "p_hat_charge", "r_b", "v_mpp", "eta_shg")
 
 
-def box(d_eff):
-    return st.builds(lambda **o: dataclasses.replace(BASE, **o),
-                     d=st.floats(0.0, 13.0), p_in=st.floats(0.0, 200.0),
-                     r_m2=st.floats(0.5, 1.0, exclude_max=True),
-                     l_s=st.floats(0.05e-3, 6e-3), d_eff=d_eff)
+def box(d_eff, **wider):
+    fields = {"d": st.floats(0.0, 13.0), "p_in": st.floats(0.0, 200.0),
+              "r_m2": st.floats(0.5, 1.0, exclude_max=True),
+              "l_s": st.floats(0.05e-3, 6e-3), "d_eff": d_eff, **wider}
+    return st.builds(lambda **o: dataclasses.replace(BASE, **o), **fields)
 
 
 doubling = st.floats(0.1e-12, 50e-12)
@@ -104,6 +109,44 @@ def test_stable_cavity_lases_exactly_above_its_threshold(params):
     assert (evaluate_link(params).status == "ok") == (params.p_in > threshold)
 
 
+def _bench_oracle():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import oracle
+    finally:
+        sys.path.pop(0)
+    return oracle
+
+
+unit = st.floats(0.0, 1.0, exclude_min=True)
+# The doubling box with the loss factors free too: air loss, the transmitter
+# mirror, and both captures as a model or a constant.  Two edges of the design
+# box are left out because bench/oracle.py misjudges them: gaps under 1 nm,
+# where the cavity is marginal below about 3e-12 m (g1*g2 within
+# STABILITY_BOUNDARY_TOL of 1) but the oracle calls only d >= 4*f_rr
+# unstable, and d_eff = 0, where its tolerance slope is 0/0 at eta = 0.
+oracle_box = box(doubling, d=st.floats(1e-9, 13.0), alpha_air=st.floats(0.0, 0.05),
+                 r_m1=st.floats(0.95, 1.0),
+                 gamma_diff=st.one_of(st.just("model:farfield"), unit),
+                 gamma_pd=st.one_of(st.just("auto"), unit))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(oracle_box)
+def test_link_matches_the_end_to_end_oracle(params):
+    # bench/oracle.py models the whole chain apart from rbswipt, with a
+    # tolerance per output that follows each solver's stopping rule
+    oracle = _bench_oracle()
+    try:
+        want = oracle.link(params)
+    except ZeroDivisionError:
+        # the oracle's own fault: its tolerance takes dln(P4)/d(eta) from a
+        # step 1e-6*eta that rounds away when eta is below about 1e-10, and
+        # its threshold divides by r1*r2 when r2 underflows to 0
+        reject()
+    assert oracle.mismatch(evaluate_link(params), want) is None
+
+
 def test_weak_carrier_rate_stays_positive():
     r = evaluate_link(dataclasses.replace(BASE, d_eff=1e-17))
     assert r.status == "ok" and r.p_recv_it > 0.0
@@ -133,11 +176,12 @@ def test_charging_power_is_concave_in_voltage(spec, i_ph):
     assert max(a - 2.0 * b + c for a, b, c in zip(p, p[1:], p[2:])) <= floor
 
 
-# each axis's valid range; d, p_in and l_s are unbounded above
+# each axis's valid range; d and p_in are unbounded above, and l_s ends where
+# l_s**2 leaves the double range
 AXIS_RANGE = {"d": st.floats(0.0, allow_infinity=False),
               "p_in": st.floats(0.0, allow_infinity=False),
               "r_m2": st.floats(0.0, 1.0, exclude_min=True),
-              "l_s": st.floats(0.0, exclude_min=True, allow_infinity=False)}
+              "l_s": st.floats(0.0, math.sqrt(sys.float_info.max), exclude_min=True)}
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

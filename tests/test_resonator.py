@@ -39,7 +39,7 @@ def undepleted_eta(p4: float) -> float:
 
 
 def reference_gamma_diff() -> float:
-    return diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="farfield")
+    return diffraction_loss(GEOM, GAIN.a_g, GAIN.lam)
 
 
 # ------------------------------------------------------------------ validation
@@ -64,6 +64,9 @@ def test_spec_validation():
                    alpha_air=1e-4, gamma_diff="model:nearfield")  # unknown model
     with pytest.raises(ValueError):
         LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
+                   alpha_air=1e-4, gamma_diff="model:pupil")  # deleted model
+    with pytest.raises(ValueError):
+        LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                    alpha_air=1e-4, gamma_diff=1.5)
 
 
@@ -84,7 +87,7 @@ def test_air_transmittance():
 def test_diffraction_loss_farfield_closed_form():
     # capture of a centred Gaussian by a circular aperture: 1 - exp(-2 a^2/w^2),
     # cross-checked against radial integration of the intensity profile
-    gd = diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="farfield")
+    gd = diffraction_loss(GEOM, GAIN.a_g, GAIN.lam)
     assert math.isclose(gd, 0.999568967316199, rel_tol=1e-12)
     w = GAIN.lam * GEOM.d / (math.pi * GAIN.a_g)
     r = np.linspace(0.0, GAIN.a_g, 4097)
@@ -96,16 +99,11 @@ def test_diffraction_loss_farfield_closed_form():
 
 
 def test_diffraction_loss_models_and_limits():
-    assert diffraction_loss(CavityGeometry(0.03, 0.03015, 0.0),
-                            GAIN.a_g, GAIN.lam, model="farfield") == 1.0
-    gd_pupil = diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="pupil")
-    assert math.isclose(gd_pupil, 0.6321113620724551, rel_tol=1e-12)
+    assert diffraction_loss(CavityGeometry(0.03, 0.03015, 0.0), GAIN.a_g, GAIN.lam) == 1.0
     # longer gap, weaker capture
-    far = [diffraction_loss(CavityGeometry(0.03, 0.03015, d), GAIN.a_g,
-                            GAIN.lam, model="farfield") for d in (2.0, 6.0, 10.0)]
+    far = [diffraction_loss(CavityGeometry(0.03, 0.03015, d), GAIN.a_g, GAIN.lam)
+           for d in (2.0, 6.0, 10.0)]
     assert far[0] > far[1] > far[2]
-    with pytest.raises(ValueError):
-        diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="nearfield")
 
 
 def test_resolve_gamma_diff_dispatch():
@@ -114,10 +112,6 @@ def test_resolve_gamma_diff_dispatch():
     const = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
                       alpha_air=1e-4, gamma_diff=0.97)
     assert resolve_gamma_diff(const, GEOM, GAIN.a_g, GAIN.lam) == 0.97
-    pupil = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915,
-                       alpha_air=1e-4, gamma_diff="model:pupil")
-    assert resolve_gamma_diff(pupil, GEOM, GAIN.a_g, GAIN.lam) == \
-        diffraction_loss(GEOM, GAIN.a_g, GAIN.lam, model="pupil")
 
 
 def test_equivalent_reflectances_composition():

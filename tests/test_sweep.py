@@ -223,8 +223,10 @@ def test_cli_jobs_beyond_rows_starts_one_worker_per_row(monkeypatch, capsys):
     assert sizes == [3]
 
 
-PUMP_BASES = [SystemParams(), SystemParams(d=12.5), SystemParams(gamma_diff="model:pupil"),
-              SystemParams(gamma_diff=0.9)]  # lasing, unstable, mostly dark, lasing
+# lasing, unstable, mostly dark, lasing; the third base's factor is the capture
+# of the multimode radius at the receiving pupil, 6 m out, with lens 1 at f
+PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
+              SystemParams(gamma_diff=0.6321113620724551), SystemParams(gamma_diff=0.9)]
 
 
 @pytest.mark.parametrize("base", PUMP_BASES, ids=["default", "unstable", "pupil", "0.9"])
@@ -459,6 +461,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--sweep", "r_m2:0.5:1.5:3"]) == 2  # end point out of range
     assert main(["--sweep", "d:-1:5:3"]) == 2  # start point out of range
     for line in ("p_in = nan", "p_in = inf", "i0 = inf", "gamma_diff = model:nearfield",
+                 "gamma_diff = model:pupil",  # a deleted model
                  "eta_a = 1.5", "d_e = 0",
                  "a_g = 1e200",  # pi*a_g**2 overflows
                  "i_s = 1e-200\nl_g = 1e-200"):  # i_s*volume underflows
@@ -479,6 +482,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main([flag, str(tmp_path / "out")]) == 2, flag
     assert not (tmp_path / "out").exists()
     assert main(["--sweep", "l_s:5e-324:1e-323:10"]) == 2  # step underflows to 0
+    assert main(["--sweep", "l_s:0.0001:1e300:3"]) == 2  # l_s**2 overflows
     assert main(["--sweep", "d:1:1.0000000000000002:10"]) == 2  # rows repeat a value
     for extra in (["--sweep", "d:1:2:3"],  # a report and a sweep at once
                   ["--sweep", "d:1:2:3", "--csv", str(tmp_path / "out")],
@@ -515,6 +519,17 @@ def test_cli_air_loss_underflow_is_dark(tmp_path, capsys):
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["6", "7", "8", "9", "10", "11"]
     assert all(row.endswith(",0,0,0,0,0,below_threshold") for row in rows)
+
+
+@pytest.mark.filterwarnings("ignore:doubling efficiency")
+@pytest.mark.parametrize("value", ["1e-300", "1e-160", "1e160", "1e300"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+def test_cli_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, value):
+    # a finite value that a stage squares or divides by to 0 or past the
+    # double range is refused at the config boundary, never a traceback
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) in (0, 2, 3)
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
