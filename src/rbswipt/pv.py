@@ -56,6 +56,11 @@ class PVSpec:
     def thermal_voltage(self) -> float:
         return K_BOLTZMANN * self.t / E_CHARGE
 
+    @property
+    def nvt(self) -> float:
+        """Junction voltage scale n_s*n*v_t of the diode exponential [V]."""
+        return self.n_s * self.n * self.thermal_voltage
+
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -65,7 +70,6 @@ class OperatingPoint:
     i_charge: float
     p_charge: float
     v_d: float
-    i_d: float
 
 
 def received_pt_power(
@@ -94,9 +98,8 @@ def photo_current(spec: PVSpec, p_recv_pt: float) -> float:
     return spec.rho * p_recv_pt
 
 
-def _diode_current(spec: PVSpec, v_d: float) -> float:
-    arg = v_d / (spec.n_s * spec.n * spec.thermal_voltage)
-    return spec.i0 * math.expm1(min(arg, _EXP_CLAMP))
+def _diode_current(i0: float, nvt: float, v_d: float) -> float:
+    return i0 * math.expm1(min(v_d / nvt, _EXP_CLAMP))
 
 
 def _bisect(func, lo: float, hi: float) -> float:
@@ -137,20 +140,15 @@ def solve_operating_point(spec: PVSpec, i_ph: float, v_charge: float) -> Operati
     if v_charge < 0.0:
         raise ValueError("v_charge must be non-negative")
     if i_ph == 0.0 and v_charge == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0)
+        return OperatingPoint(0.0, 0.0, 0.0, 0.0)
+    i0, nvt, r_sh, r_s = spec.i0, spec.nvt, spec.r_sh, spec.r_s
 
     def residual(v_d: float) -> float:
-        return i_ph - _diode_current(spec, v_d) - v_d / spec.r_sh - (v_d - v_charge) / spec.r_s
+        return i_ph - _diode_current(i0, nvt, v_d) - v_d / r_sh - (v_d - v_charge) / r_s
 
-    v_d = _bisect(residual, 0.0, v_charge + i_ph * spec.r_s)
-    i = (v_d - v_charge) / spec.r_s
-    return OperatingPoint(
-        v_charge=v_charge,
-        i_charge=i,
-        p_charge=v_charge * i,
-        v_d=v_d,
-        i_d=_diode_current(spec, v_d),
-    )
+    v_d = _bisect(residual, 0.0, v_charge + i_ph * r_s)
+    i = (v_d - v_charge) / r_s
+    return OperatingPoint(v_charge=v_charge, i_charge=i, p_charge=v_charge * i, v_d=v_d)
 
 
 def open_circuit_voltage(spec: PVSpec, i_ph: float) -> float:
@@ -159,24 +157,23 @@ def open_circuit_voltage(spec: PVSpec, i_ph: float) -> float:
         raise ValueError("i_ph must be non-negative")
     if i_ph == 0.0:
         return 0.0
-    hi = spec.n_s * spec.n * spec.thermal_voltage * math.log1p(i_ph / spec.i0)
+    i0, nvt, r_sh = spec.i0, spec.nvt, spec.r_sh
 
     def residual(v: float) -> float:
-        return i_ph - _diode_current(spec, v) - v / spec.r_sh
+        return i_ph - _diode_current(i0, nvt, v) - v / r_sh
 
-    return _bisect(residual, 0.0, hi)
+    return _bisect(residual, 0.0, nvt * math.log1p(i_ph / i0))
 
 
-def kirchhoff_residuals(
-    spec: PVSpec, i_ph: float, op: OperatingPoint
-) -> tuple[float, float, float]:
-    """Relative residuals of the three circuit equations at an operating point."""
+def kirchhoff_residuals(spec: PVSpec, i_ph: float, op: OperatingPoint) -> tuple[float, float]:
+    """Relative residuals of the node and loop equations at an operating point,
+    with the diode current taken from op.v_d."""
     i_scale = max(abs(i_ph), 1e-30)
     v_scale = max(abs(op.v_d), 1e-30)
-    e_node = op.i_charge - (i_ph - op.i_d - op.v_d / spec.r_sh)
-    e_diode = op.i_d - _diode_current(spec, op.v_d)
+    i_d = _diode_current(spec.i0, spec.nvt, op.v_d)
+    e_node = op.i_charge - (i_ph - i_d - op.v_d / spec.r_sh)
     e_loop = op.v_d - (op.v_charge + op.i_charge * spec.r_s)
-    return abs(e_node) / i_scale, abs(e_diode) / i_scale, abs(e_loop) / v_scale
+    return abs(e_node) / i_scale, abs(e_loop) / v_scale
 
 
 def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
@@ -199,7 +196,7 @@ def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     if i_ph < 0.0:
         raise ValueError("i_ph must be non-negative")
     if i_ph == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0)
+        return OperatingPoint(0.0, 0.0, 0.0, 0.0)
     v_oc = open_circuit_voltage(spec, i_ph)
 
     def point(v: float) -> OperatingPoint:

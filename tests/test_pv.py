@@ -72,6 +72,20 @@ def test_operating_point_satisfies_kirchhoff():
         assert max(kirchhoff_residuals(spec, i_ph, op)) < 1e-12
 
 
+def test_kirchhoff_residuals_detect_a_wrong_diode_voltage():
+    # the diode current comes from op.v_d, so a point whose loop equation holds
+    # but whose v_d is off by 1e-6 (relative) breaks the node equation
+    op = solve_operating_point(SPEC, I_PH, 0.4)
+    v_d = op.v_d * (1.0 + 1e-6)
+    i = (v_d - op.v_charge) / SPEC.r_s
+    wrong = OperatingPoint(v_charge=op.v_charge, i_charge=i,
+                           p_charge=op.v_charge * i, v_d=v_d)
+    node, loop = kirchhoff_residuals(SPEC, I_PH, wrong)
+    assert node > 1e-9
+    assert loop < 1e-12
+    assert max(kirchhoff_residuals(SPEC, I_PH, op)) < 1e-12
+
+
 def test_operating_point_structure():
     op = solve_operating_point(SPEC, I_PH, 0.4)
     assert isinstance(op, OperatingPoint)
