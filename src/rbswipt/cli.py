@@ -16,9 +16,9 @@ import sys
 
 from .link import LinkResult, evaluate_link
 from .params import ConfigError, format_defaults, load_params
-from .safety import (SafetySpec, absorbed_pump_power, angular_subtense,
-                     max_safe_source_power, mpe_extended_source, spontaneous_irradiance)
-from .sweep import SweepSpec, emit_csv, emit_plot_data, run_sweep
+from .safety import (absorbed_pump_power, angular_subtense, max_safe_source_power,
+                     mpe_extended_source, spontaneous_irradiance)
+from .sweep import AXES, SweepSpec, emit_csv, emit_plot_data, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="configuration file (key = value lines)")
     parser.add_argument("--sweep", metavar="AXIS:MIN:MAX:STEPS",
-                        help="sweep one parameter (axes: d, p_in, r_m2, l_s)")
+                        help=f"sweep one parameter (axes: {', '.join(AXES)})")
     parser.add_argument("--csv", metavar="PATH", help="write sweep rows as CSV")
     parser.add_argument("--svg", metavar="PATH", help="write sweep chart as SVG")
     parser.add_argument("--jobs", type=int, metavar="N",
@@ -67,20 +67,18 @@ def _print_link(result: LinkResult) -> None:
 
 
 def _print_safety(params) -> None:
+    p_a = absorbed_pump_power(params, params.p_in)
+    irr = spontaneous_irradiance(params, params.p_in)
+    alpha = angular_subtense(params)
     try:
-        spec = SafetySpec(eta_p=params.eta_p, eta_t=params.eta_t, eta_a=params.eta_a,
-                          d_e=params.d_e, a_g=params.a_g, lam=params.lam)
-    except ValueError as exc:  # e.g. a wavelength outside the band the MPE covers
+        mpe = mpe_extended_source(params.lam, alpha)
+    except ValueError as exc:  # a wavelength outside the band the MPE covers
         raise ConfigError(str(exc)) from None
-    p_a = absorbed_pump_power(spec, params.p_in)
-    irr = spontaneous_irradiance(spec, params.p_in)
-    alpha = angular_subtense(spec)
-    mpe = mpe_extended_source(spec.lam, alpha)
-    p_a_safe, p_in_safe = max_safe_source_power(spec)
+    p_a_safe, p_in_safe = max_safe_source_power(params)
     verdict = "SAFE" if params.p_in <= p_in_safe else "EXCEEDS LIMIT"
     print(f"electrical pump power       P_in      = {params.p_in:.6g} W")
     print(f"absorbed pump power         P_a       = {p_a:.6g} W")
-    print(f"worst-case irradiance       E         = {irr:.6g} W/m2 at {spec.d_e:.6g} m")
+    print(f"worst-case irradiance       E         = {irr:.6g} W/m2 at {params.d_e:.6g} m")
     print(f"apparent source subtense    alpha     = {alpha * 1e3:.6g} mrad")
     print(f"permissible exposure        MPE       = {mpe:.6g} W/m2")
     print(f"max absorbed pump power     P_a,safe  = {p_a_safe:.6g} W")

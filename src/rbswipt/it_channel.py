@@ -62,6 +62,9 @@ class NoiseSpec:
         for name in ("b", "t", "r_il", "i_bk", "gamma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not noise_variance(self, 0.0) > 0.0:  # achievable_rate divides by it
+            raise ValueError("the noise variance at zero signal, 2*e*i_bk*b + 4*k*t*b/r_il, "
+                             "must be positive")
 
 
 def concentrator_gain(spec: ConcentratorSpec) -> float:
@@ -137,6 +140,10 @@ def achievable_rate(spec: NoiseSpec, p_recv_it: float) -> float:
     if p_recv_it == 0.0:
         return 0.0
     signal = spec.gamma * p_recv_it
-    snr = signal * signal / (2.0 * math.pi * math.e * noise_variance(spec, p_recv_it))
+    var = noise_variance(spec, p_recv_it)
+    snr = signal * signal / (2.0 * math.pi * math.e * var)
+    if snr == math.inf:  # signal**2 or the ratio overflows; 1 + snr is snr there
+        return 0.5 * (2.0 * math.log(signal) - math.log(2.0 * math.pi * math.e)
+                      - math.log(var)) / math.log(2.0)
     # log1p keeps a weak carrier's rate: 1 + snr rounds to 1 for snr < 2**-53
     return 0.5 * math.log1p(snr) / math.log(2.0)

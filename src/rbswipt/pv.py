@@ -51,6 +51,8 @@ class PVSpec:
             raise ValueError("n_s must be >= 1")
         if self.n_s != int(self.n_s):
             raise ValueError(f"n_s must be a whole number of cells, got {self.n_s!r}")
+        if not self.nvt > 0.0:  # the diode exponential divides by it
+            raise ValueError("n_s*n*v_t must be positive")
 
     @property
     def thermal_voltage(self) -> float:

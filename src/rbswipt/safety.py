@@ -13,74 +13,50 @@ with C4 the wavelength factor (1 below 700 nm, 10^(0.002*(lam-700)) over
 the extended-source factor for angular subtense alpha, and C7 = 1 across the
 supported band.  The base coefficient 10.1175 W/m^2 is a calibrated
 reconstruction; treat the output as a design aid, not a certification.
+
+Each function reads the pump-path efficiencies eta_p, eta_t and eta_a, the
+measurement distance d_e, the gain aperture a_g and the wavelength lam from
+the SystemParams, which range-checks them; only the band is checked here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .params import SystemParams
 
 MPE_BASE = 10.1175  # W/m^2; calibrated so MPE(1064 nm, 40 mrad) = 1349 W/m^2
 _ALPHA_MIN = 1.5e-3  # rad, point-source floor of C6
 _ALPHA_MAX = 100e-3  # rad, extended-source cap of C6
 
 
-def _check_band(lam: float) -> None:
-    lam_nm = lam * 1e9
-    if not 400.0 <= lam_nm <= 1400.0:
-        raise ValueError(f"wavelength {lam_nm:.1f} nm outside the supported 400-1400 nm band")
-
-
-@dataclass(frozen=True)
-class SafetySpec:
-    """Pump-path efficiencies (source eta_p, transmission eta_t, absorption
-    eta_a), measurement distance d_e [m], gain aperture radius a_g [m] and
-    wavelength lam [m], which must lie in the band the MPE covers."""
-
-    eta_p: float
-    eta_t: float
-    eta_a: float
-    d_e: float
-    a_g: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        for name in ("eta_p", "eta_t", "eta_a"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        for name in ("d_e", "a_g", "lam"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        _check_band(self.lam)
-
-
-def absorbed_pump_power(spec: SafetySpec, p_in: float) -> float:
+def absorbed_pump_power(params: SystemParams, p_in: float) -> float:
     """Pump power absorbed by the gain medium: eta_p*eta_t*eta_a*p_in."""
     if p_in < 0.0:
         raise ValueError("p_in must be non-negative")
-    return spec.eta_p * spec.eta_t * spec.eta_a * p_in
+    return params.eta_p * params.eta_t * params.eta_a * p_in
 
 
-def spontaneous_irradiance(spec: SafetySpec, p_in: float) -> float:
+def spontaneous_irradiance(params: SystemParams, p_in: float) -> float:
     """Spontaneous-emission irradiance [W/m^2] at distance d_e.
 
     Factor 2 accounts for the high-reflectivity coating folding the backward
     hemisphere forward.
     """
-    return 2.0 * absorbed_pump_power(spec, p_in) / (4.0 * math.pi * spec.d_e**2)
+    return 2.0 * absorbed_pump_power(params, p_in) / (4.0 * math.pi * params.d_e**2)
 
 
-def angular_subtense(spec: SafetySpec) -> float:
+def angular_subtense(params: SystemParams) -> float:
     """Apparent source subtense 2*a_g/d_e [rad] at the measurement distance."""
-    return 2.0 * spec.a_g / spec.d_e
+    return 2.0 * params.a_g / params.d_e
 
 
 def mpe_extended_source(lam: float, alpha: float) -> float:
     """Long-exposure extended-source MPE [W/m^2] for wavelength lam [m] and
-    angular subtense alpha [rad]."""
-    _check_band(lam)
+    angular subtense alpha [rad]; lam must lie in the 400-1400 nm band it covers."""
     lam_nm = lam * 1e9
+    if not 400.0 <= lam_nm <= 1400.0:
+        raise ValueError(f"wavelength {lam_nm:.1f} nm outside the supported 400-1400 nm band")
     if alpha <= 0.0:
         raise ValueError("angular subtense must be positive")
     if lam_nm < 700.0:
@@ -94,10 +70,10 @@ def mpe_extended_source(lam: float, alpha: float) -> float:
     return MPE_BASE * c4 * c6 * c7
 
 
-def max_safe_source_power(spec: SafetySpec) -> tuple[float, float]:
+def max_safe_source_power(params: SystemParams) -> tuple[float, float]:
     """(P_a_safe, P_in_safe): largest absorbed and electrical pump powers whose
     spontaneous-emission irradiance at d_e stays at the MPE."""
-    mpe = mpe_extended_source(spec.lam, angular_subtense(spec))
-    p_a_safe = mpe * 4.0 * math.pi * spec.d_e**2 / 2.0
-    p_in_safe = p_a_safe / (spec.eta_p * spec.eta_t * spec.eta_a)
+    mpe = mpe_extended_source(params.lam, angular_subtense(params))
+    p_a_safe = mpe * 4.0 * math.pi * params.d_e**2 / 2.0
+    p_in_safe = p_a_safe / (params.eta_p * params.eta_t * params.eta_a)
     return p_a_safe, p_in_safe

@@ -21,11 +21,9 @@ import os
 from dataclasses import dataclass
 
 from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _pump_stage, evaluate_link
-from .params import _READERS, ConfigError, SystemParams, _with_field
+from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _with_field
 
 AXES = ("d", "p_in", "r_m2", "l_s")
-
-_AXIS_UNIT = {"d": "m", "p_in": "W", "r_m2": "", "l_s": "m"}
 
 CSV_HEADER = "axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status"
 
@@ -160,7 +158,7 @@ def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
     p_px, p_min, p_max = _scale(y_pow, y_lo, y_hi)
     r_px, r_min, r_max = _scale(y_rate, y_lo, y_hi)
 
-    unit = _AXIS_UNIT.get(axis, "")
+    unit = _UNIT_HINT.get(axis)
     x_label = f"{axis} [{unit}]" if unit else axis
 
     parts = [

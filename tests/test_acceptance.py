@@ -93,16 +93,14 @@ def test_criterion_2_geometry():
 
 
 def test_criterion_3_safety_arithmetic():
-    from rbswipt.safety import SafetySpec, absorbed_pump_power, \
-        max_safe_source_power, spontaneous_irradiance
+    from rbswipt.safety import absorbed_pump_power, max_safe_source_power, \
+        spontaneous_irradiance
 
-    spec = SafetySpec(eta_p=DEFAULT.eta_p, eta_t=DEFAULT.eta_t, eta_a=DEFAULT.eta_a,
-                      d_e=DEFAULT.d_e, a_g=DEFAULT.a_g, lam=DEFAULT.lam)
     checks = {
-        "P_a": (absorbed_pump_power(spec, 60.0), 40.5),
-        "irradiance": (spontaneous_irradiance(spec, 60.0), 0.0645 * 1e4),
-        "P_a_safe": (max_safe_source_power(spec)[0], 84.77),
-        "P_in_safe": (max_safe_source_power(spec)[1], 125.46),
+        "P_a": (absorbed_pump_power(DEFAULT, 60.0), 40.5),
+        "irradiance": (spontaneous_irradiance(DEFAULT, 60.0), 0.0645 * 1e4),
+        "P_a_safe": (max_safe_source_power(DEFAULT)[0], 84.77),
+        "P_in_safe": (max_safe_source_power(DEFAULT)[1], 125.46),
     }
     for name, (got, target) in checks.items():
         assert abs(got - target) <= 0.01 * target, (name, got, target)

@@ -30,6 +30,9 @@ def test_spec_validation():
         ConcentratorSpec(a_pd=1.6e-7, psi_c=0.5, n_c=0.5, t_s=0.995, psi=0.0)
     with pytest.raises(ValueError):
         NoiseSpec(b=0.0, t=298.0, r_il=1e4, i_bk=5.1e-3, gamma=0.4)
+    for b in (1e-320, 5e-324):  # the zero-signal noise variance underflows to 0
+        with pytest.raises(ValueError, match="noise variance at zero signal"):
+            NoiseSpec(b=b, t=298.0, r_il=1e4, i_bk=5.1e-3, gamma=0.4)
 
 
 def test_concentrator_gain_and_area():
@@ -108,5 +111,12 @@ def test_achievable_rate():
     powers = [1e-4, 1e-3, 1e-2, 1e-1]
     rates = [achievable_rate(NOISE, p) for p in powers]
     assert all(a < b for a, b in zip(rates, rates[1:]))
+    # an SNR past the double range: 0.5*log2(snr) from the logs of its factors
+    quiet = NoiseSpec(b=1e-300, t=298.0, r_il=1e4, i_bk=5.1e-3, gamma=0.4)
+    var = noise_variance(quiet, 0.010)
+    assert (0.4 * 0.010) ** 2 / (2.0 * math.pi * math.e * var) == math.inf
+    r = achievable_rate(quiet, 0.010)
+    assert math.isclose(r, math.log2(0.4 * 0.010) - 0.5 * math.log2(2.0 * math.pi * math.e)
+                        - 0.5 * math.log2(var), rel_tol=1e-12)
     with pytest.raises(ValueError):
         achievable_rate(NOISE, -1e-3)

@@ -39,7 +39,7 @@ def test_spec_object_properties_mirror_fields():
     assert p.concentrator.a_pd == p.a_pd and p.concentrator.psi == p.psi
     assert p.noise.b == p.b and p.noise.t == p.t
     assert p.pv.i0 == p.i0 and p.pv.t == p.t
-    assert not hasattr(p, "safety")  # --safety builds its own spec
+    assert not hasattr(p, "safety")  # --safety reads the safety fields themselves
 
 
 SPECS = ("geometry", "gain", "shg", "loss", "concentrator", "noise", "pv")
@@ -63,6 +63,9 @@ def test_spec_objects_are_built_once_and_kept():
         parse_config_text("geometry = 1")
 
 
+QUANTUM_LIMIT_BREACHES = (("rho", 0.86), ("lam", 743e-9))
+
+
 def test_validation_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"^r_m2 must be in \(0, 1\], got 1.5$"):
         SystemParams(r_m2=1.5)
@@ -77,6 +80,13 @@ def test_validation_rejects_out_of_range():
         SystemParams(d_e=0)
     with pytest.raises(ValueError, match=r"^n_s must be a whole number of cells, got 1.5$"):
         SystemParams(n_s=1.5)
+    # one electron per photon at most: e*lam/(h*c) is 0.858 A/W at 1064 nm, and
+    # the default 0.6 A/W needs lam of at least 744 nm
+    assert SystemParams(rho=0.85).rho == 0.85 and SystemParams(lam=745e-9).lam == 745e-9
+    for name, value in QUANTUM_LIMIT_BREACHES:
+        with pytest.raises(ValueError, match=r"^rho must not exceed the quantum limit "
+                           r"e\*lam/\(h\*c\) = "):
+            SystemParams(**{name: value})
     with pytest.raises(ValueError):
         SystemParams(gamma_pv=0.0)
     with pytest.raises(ValueError):
@@ -121,6 +131,12 @@ def test_row_builder_matches_the_constructor():
             with pytest.raises(ValueError) as constructed:
                 SystemParams(**{name: bad})
             assert str(built.value) == str(constructed.value), (name, bad)
+    for name, bad in QUANTUM_LIMIT_BREACHES:  # checks that read two fields
+        with pytest.raises(ValueError) as built:
+            _with_field(base, name, bad)
+        with pytest.raises(ValueError) as constructed:
+            SystemParams(**{name: bad})
+        assert str(built.value) == str(constructed.value), (name, bad)
 
 
 def test_parse_units():

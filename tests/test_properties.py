@@ -96,6 +96,16 @@ def test_charge_does_not_fall_with_more_pump(params):
 
 
 @checked
+@given(box(st.one_of(st.just(0.0), doubling), d=st.floats(1e-9, 13.0)), st.floats(0.0, 1.0))
+def test_charge_does_not_rise_with_the_gap(params, delta):
+    # gaps from 1 nm, above the marginal band at d <~ 3e-12 m.  The slack
+    # covers the rounding floor of the MPPT's flat maximum, about 3.2e-13
+    near = evaluate_link(params)
+    far = evaluate_link(dataclasses.replace(params, d=params.d + delta))
+    assert far.p_hat_charge <= near.p_hat_charge * (1.0 + 1e-12)
+
+
+@checked
 @given(design_box)
 def test_stable_cavity_lases_exactly_above_its_threshold(params):
     # the margin a dark result is decided by: the pump against the eta = 0

@@ -41,6 +41,9 @@ def test_spec_validation_and_thermal_voltage():
         PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=0, t=298.0)
     with pytest.raises(ValueError, match="whole number"):
         PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1.5, t=298.0)
+    for n, t in ((5e-324, 298.0), (1.48, 1e-320), (1.48, 5e-324)):  # n_s*n*v_t underflows
+        with pytest.raises(ValueError, match=r"n_s\*n\*v_t must be positive"):
+            PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=n, n_s=1, t=t)
     assert PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=2.0,
                   t=298.0).n_s == 2
 

@@ -522,14 +522,19 @@ def test_cli_air_loss_underflow_is_dark(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:doubling efficiency")
-@pytest.mark.parametrize("value", ["1e-300", "1e-160", "1e160", "1e300"])
+@pytest.mark.parametrize("value", ["1e-300", "1e-160", "1e160", "1e300", "1e-320", "5e-324"])
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
 def test_cli_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, value):
     # a finite value that a stage squares or divides by to 0 or past the
-    # double range is refused at the config boundary, never a traceback
+    # double range is refused at the config boundary, never a traceback,
+    # and a report that is printed holds no infinite or undefined number
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
-    assert main(["--config", str(cfg)]) in (0, 2, 3)
+    code = main(["--config", str(cfg)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        out = capsys.readouterr().out
+        assert "inf" not in out and "nan" not in out, out
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
