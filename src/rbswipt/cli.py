@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .link import LinkResult, evaluate_link
@@ -75,6 +76,9 @@ def _print_safety(params) -> None:
     except ValueError as exc:  # a wavelength outside the band the MPE covers
         raise ConfigError(str(exc)) from None
     p_a_safe, p_in_safe = max_safe_source_power(params)
+    if not all(math.isfinite(x) for x in (p_a, irr, alpha, mpe, p_a_safe, p_in_safe)):
+        raise ConfigError("the safety report of this configuration leaves the double "
+                          "range; check p_in, d_e, a_g and eta_p*eta_t*eta_a")
     verdict = "SAFE" if params.p_in <= p_in_safe else "EXCEEDS LIMIT"
     print(f"electrical pump power       P_in      = {params.p_in:.6g} W")
     print(f"absorbed pump power         P_a       = {p_a:.6g} W")

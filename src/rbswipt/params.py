@@ -63,6 +63,12 @@ def _check_loose(name: str, v) -> None:
     elif name == "d_e":
         if not 0.0 < v < math.inf:
             raise ValueError(f"d_e must be positive and finite, got {v}")
+        try:  # the safety report divides by d_e**2 and multiplies by it
+            square = v**2
+        except OverflowError:
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ValueError(f"d_e**2 must be positive and finite, got d_e = {v}")
     elif name == "p_in":
         if not 0.0 <= v < math.inf:
             raise ValueError(f"p_in must be non-negative and finite, got {v}")

@@ -101,7 +101,8 @@ def photo_current(spec: PVSpec, p_recv_pt: float) -> float:
 
 
 def _diode_current(i0: float, nvt: float, v_d: float) -> float:
-    return i0 * math.expm1(min(v_d / nvt, _EXP_CLAMP))
+    x = v_d / nvt  # the conditional is min(x, _EXP_CLAMP), NaN included, but cheaper
+    return i0 * math.expm1(_EXP_CLAMP if x > _EXP_CLAMP else x)
 
 
 def _bisect(func, lo: float, hi: float) -> float:

@@ -299,11 +299,13 @@ def solve_intracavity(
     # lies just above the root wherever conversion lowers P4, and with K = 0
     # it ends the search at eta = 0 without a step.
     mid = min(k * p4, 0.5)
+    # r2 does not depend on eta; r1 is rounded as equivalent_reflectances does
+    s1 = math.sqrt(loss.gamma_l1**2 * loss.r_m1)
     while eta < mid < hi:
-        r1_mid, r2_mid = equivalent_reflectances(loss, shg, gain, mid, d, gamma_diff)
-        p4_mid = rigrod_p4(gain, r1_mid, r2_mid, p_in)
+        r1_mid = (1.0 - mid) * shg.gamma_shg * s1
+        p4_mid = rigrod_p4(gain, r1_mid, r2, p_in)
         if k * p4_mid > mid:
-            eta, r1, r2, p4 = mid, r1_mid, r2_mid, p4_mid
+            eta, r1, p4 = mid, r1_mid, p4_mid
         else:
             hi = mid
         mid = 0.5 * (eta + hi)

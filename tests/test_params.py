@@ -78,6 +78,11 @@ def test_validation_rejects_out_of_range():
         SystemParams(eta_a=0)
     with pytest.raises(ValueError, match=r"^d_e must be positive and finite, got 0$"):
         SystemParams(d_e=0)
+    # the safety report divides by d_e**2, which underflows to 0 or overflows here
+    for d_e in (1e-300, 5e-324, 1e160):
+        with pytest.raises(ValueError, match=r"^d_e\*\*2 must be positive and finite"):
+            SystemParams(d_e=d_e)
+    assert SystemParams(d_e=1e-150).d_e == 1e-150 and SystemParams(d_e=1e150).d_e == 1e150
     with pytest.raises(ValueError, match=r"^n_s must be a whole number of cells, got 1.5$"):
         SystemParams(n_s=1.5)
     # one electron per photon at most: e*lam/(h*c) is 0.858 A/W at 1064 nm, and

@@ -9,6 +9,7 @@ from rbswipt.constants import E_CHARGE, K_BOLTZMANN
 from rbswipt.pv import (
     OperatingPoint,
     PVSpec,
+    _diode_current,
     kirchhoff_residuals,
     mppt,
     open_circuit_voltage,
@@ -110,6 +111,20 @@ def test_current_monotone_decreasing_in_voltage():
     currents = [solve_operating_point(SPEC, I_PH, float(v)).i_charge
                 for v in voltages]
     assert all(a > b for a, b in zip(currents, currents[1:]))
+
+
+def test_diode_exponent_clamp():
+    # the exponent is capped at 700, as min(v_d/nvt, 700) caps it: at and
+    # above the cap the current is i0*expm1(700), a NaN exponent stays NaN
+    # and an exponent of -inf gives the reverse saturation current -i0
+    i0 = SPEC.i0
+    capped = i0 * math.expm1(700.0)
+    for x in (700.0, 701.0, 1e300):  # nvt = 1 V makes v_d the exponent exactly
+        assert _diode_current(i0, 1.0, x) == capped, x
+    assert _diode_current(i0, SPEC.nvt, 1e300) == capped
+    assert _diode_current(i0, 1.0, 699.0) == i0 * math.expm1(699.0) < capped
+    assert math.isnan(_diode_current(i0, 1.0, math.nan))
+    assert _diode_current(i0, 1.0, -math.inf) == -i0
 
 
 def test_open_circuit_voltage():

@@ -240,13 +240,28 @@ def test_solve_intracavity_reference_solution():
     assert math.isclose(sol.r2, 0.9321200853730065, rel_tol=1e-12)
 
 
-def test_solve_intracavity_is_a_fixed_point():
-    gd = reference_gamma_diff()
-    sol = solve_intracavity(GAIN, SHG, LOSS, 60.0, W0, gd, GEOM.d)
-    r1, r2 = equivalent_reflectances(LOSS, SHG, GAIN, sol.eta_shg, GEOM.d, gd)
+@pytest.mark.filterwarnings("ignore:doubling efficiency")
+@pytest.mark.parametrize("d, l_s, p_in, gamma_diff", [
+    (6.0, 0.4e-3, 60.0, "model:farfield"),
+    (6.0, 3e-3, 200.0, "model:farfield"),  # eta = 0.215
+    (6.0, 6e-3, 200.0, "model:farfield"),  # eta = 0.315
+    (11.9, 0.4e-3, 60.0, "model:farfield"),
+    (6.0, 0.4e-3, 60.0, 0.97),
+], ids=["reference", "l_s_3mm", "l_s_6mm", "d_11.9m", "constant_gamma_diff"])
+def test_solve_intracavity_is_a_fixed_point(d, l_s, p_in, gamma_diff):
+    # the solve's own r1 and r2 are bit for bit those of equivalent_reflectances
+    # at its eta, at weak and strong conversion and at any diffraction factor
+    geom = dataclasses.replace(GEOM, d=d)
+    shg = dataclasses.replace(SHG, l_s=l_s)
+    loss = dataclasses.replace(LOSS, gamma_diff=gamma_diff)
+    w0 = beam_radius(cavity_mode(geom, GAIN.a_g, GAIN.lam), 0.0)
+    gd = resolve_gamma_diff(loss, geom, GAIN.a_g, GAIN.lam)
+    sol = solve_intracavity(GAIN, shg, loss, p_in, w0, gd, d)
+    assert (sol.eta_shg > 0.1) == (l_s >= 3e-3)
+    r1, r2 = equivalent_reflectances(loss, shg, GAIN, sol.eta_shg, d, gd)
     assert (r1, r2) == (sol.r1, sol.r2)
-    assert abs(sol.p4 - rigrod_p4(GAIN, r1, r2, 60.0)) <= 1e-10 * sol.p4
-    eta_back = undepleted_eta(sol.p4)
+    assert abs(sol.p4 - rigrod_p4(GAIN, r1, r2, p_in)) <= 1e-10 * sol.p4
+    eta_back = shg_conversion_coefficient(shg, GAIN.lam) * 2.0 * sol.p4 / (math.pi * w0 * w0)
     assert abs(sol.eta_shg - eta_back) <= 1e-8 * eta_back
     # wave bookkeeping around the loop
     assert math.isclose(sol.p2, (sol.r1 / sol.r2) * sol.p4, rel_tol=1e-15)

@@ -521,9 +521,13 @@ def test_cli_air_loss_underflow_is_dark(tmp_path, capsys):
     assert all(row.endswith(",0,0,0,0,0,below_threshold") for row in rows)
 
 
+_EXTREME_VALUES = ["1e-300", "1e-160", "1e160", "1e300", "1e-320", "5e-324"]
+_FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
+
+
 @pytest.mark.filterwarnings("ignore:doubling efficiency")
-@pytest.mark.parametrize("value", ["1e-300", "1e-160", "1e160", "1e300", "1e-320", "5e-324"])
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+@pytest.mark.parametrize("value", _EXTREME_VALUES)
+@pytest.mark.parametrize("name", _FIELDS)
 def test_cli_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, value):
     # a finite value that a stage squares or divides by to 0 or past the
     # double range is refused at the config boundary, never a traceback,
@@ -535,6 +539,22 @@ def test_cli_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, value):
     if code == 0:
         out = capsys.readouterr().out
         assert "inf" not in out and "nan" not in out, out
+
+
+@pytest.mark.parametrize("value", _EXTREME_VALUES)
+@pytest.mark.parametrize("name", _FIELDS)
+def test_cli_safety_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, value):
+    # the safety report squares d_e and divides by it and by the pump-path
+    # efficiencies: a config whose report leaves the double range is refused
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "--safety"])
+    assert code in (0, 2)
+    out = capsys.readouterr().out
+    if code == 0:
+        assert "inf" not in out and "nan" not in out, out
+    else:
+        assert out == ""  # nothing of the report is printed before the refusal
 
 
 def test_cli_unwritable_output_exits_2(tmp_path):
