@@ -5,8 +5,7 @@ gain medium, doubling crystal, coatings, receiver optics, noise, photovoltaic
 cell, safety, pump power).  Field names double as config keys.  The spec
 objects of the link stages are built and validated once, when the parameters
 are constructed, and kept as attributes outside the dataclass fields; the
-safety fields are range-checked here and read only by the `--safety` report,
-and the PV responsivity rho is checked against the quantum limit at lam.
+safety fields are range-checked here and read only by the `--safety` report.
 A sweep row differs from its base in one field, so it rebuilds only the spec
 objects that read that field and shares the rest.
 
@@ -23,7 +22,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .constants import C_LIGHT, E_CHARGE, H_PLANCK
 from .it_channel import ConcentratorSpec, NoiseSpec
 from .optics import CavityGeometry
 from .pv import PVSpec
@@ -74,14 +72,6 @@ def _check_loose(name: str, v) -> None:
             raise ValueError(f"p_in must be non-negative and finite, got {v}")
     elif not 0.0 < v <= 1.0:  # the other loss factors and the pump-path efficiencies
         raise ValueError(f"{name} must be in (0, 1], got {v}")
-
-
-def _check_responsivity(rho: float, lam: float) -> None:
-    """The PV cell gives at most one electron per photon: rho <= e*lam/(h*c)."""
-    limit = E_CHARGE * lam / (H_PLANCK * C_LIGHT)
-    if rho > limit:
-        raise ValueError(f"rho must not exceed the quantum limit e*lam/(h*c) = "
-                         f"{limit:.4g} A/W at lam = {lam!r} m, got {rho}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,6 @@ class SystemParams:
             fields[attr] = _build_spec(fields, attr)
         for name in _LOOSE:
             _check_loose(name, fields[name])
-        _check_responsivity(self.rho, self.lam)
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
@@ -183,8 +172,6 @@ def _with_field(base: SystemParams, name: str, value: float | int | str) -> Syst
         fields[attr] = _build_spec(fields, attr)
     if not readers:
         _check_loose(name, value)
-    if name in ("rho", "lam"):
-        _check_responsivity(row.rho, row.lam)
     return row
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import E_CHARGE, K_BOLTZMANN
+from .constants import C_LIGHT, E_CHARGE, H_PLANCK, K_BOLTZMANN
 
 _EXP_CLAMP = 700.0  # exp argument cap, avoids overflow on wild brackets
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -31,11 +31,13 @@ _STEPS = math.ceil(math.log(1e9) / -math.log(_GOLDEN))  # 44 steps to a bracket 
 
 @dataclass(frozen=True)
 class PVSpec:
-    """Single-diode cell: responsivity rho [A/W], reverse saturation current
-    i0 [A], shunt/series resistances r_sh/r_s [Ohm], ideality factor n,
-    series cell count n_s, temperature t [K]."""
+    """Single-diode cell: responsivity rho [A/W] at the beam wavelength
+    lam [m], reverse saturation current i0 [A], shunt/series resistances
+    r_sh/r_s [Ohm], ideality factor n, series cell count n_s, temperature
+    t [K]."""
 
     rho: float
+    lam: float
     i0: float
     r_sh: float
     r_s: float
@@ -44,7 +46,7 @@ class PVSpec:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("rho", "i0", "r_sh", "r_s", "n", "t"):
+        for name in ("rho", "lam", "i0", "r_sh", "r_s", "n", "t"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 1 <= self.n_s < math.inf:
@@ -53,6 +55,10 @@ class PVSpec:
             raise ValueError(f"n_s must be a whole number of cells, got {self.n_s!r}")
         if not self.nvt > 0.0:  # the diode exponential divides by it
             raise ValueError("n_s*n*v_t must be positive")
+        limit = E_CHARGE * self.lam / (H_PLANCK * C_LIGHT)  # one electron per photon
+        if self.rho > limit:
+            raise ValueError(f"rho must not exceed the quantum limit e*lam/(h*c) = "
+                             f"{limit:.4g} A/W at lam = {self.lam!r} m, got {self.rho}")
 
     @property
     def thermal_voltage(self) -> float:
@@ -135,15 +141,14 @@ def solve_operating_point(spec: PVSpec, i_ph: float, v_charge: float) -> Operati
     Bisects the current-balance residual over v_d in
     [0, v_charge + i_ph*r_s]: the residual is strictly decreasing in v_d,
     positive at 0 and negative at the upper end, so the bracket always holds a
-    sign change.  A v_charge above v_oc yields a (small) negative current --
-    the cell absorbs -- rather than an error.
+    sign change (at i_ph = v_charge = 0 it is [0, 0], where the residual is 0).
+    A v_charge above v_oc yields a (small) negative current -- the cell
+    absorbs -- rather than an error.
     """
     if i_ph < 0.0:
         raise ValueError("i_ph must be non-negative")
     if v_charge < 0.0:
         raise ValueError("v_charge must be non-negative")
-    if i_ph == 0.0 and v_charge == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0)
     i0, nvt, r_sh, r_s = spec.i0, spec.nvt, spec.r_sh, spec.r_s
 
     def residual(v_d: float) -> float:
@@ -158,8 +163,6 @@ def open_circuit_voltage(spec: PVSpec, i_ph: float) -> float:
     """Terminal voltage at zero charging current: i_ph = i_d(v) + v/r_sh."""
     if i_ph < 0.0:
         raise ValueError("i_ph must be non-negative")
-    if i_ph == 0.0:
-        return 0.0
     i0, nvt, r_sh = spec.i0, spec.nvt, spec.r_sh
 
     def residual(v: float) -> float:

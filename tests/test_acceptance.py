@@ -242,7 +242,7 @@ def test_criterion_5_solver_oracles():
     worst_gap = 0.0
     worst_residual = 0.0
     for _ in range(20):
-        spec = PVSpec(rho=0.6,
+        spec = PVSpec(rho=0.6, lam=1064e-9,
                       i0=10.0 ** rng.uniform(-8, -5),
                       r_sh=rng.uniform(30.0, 300.0),
                       r_s=rng.uniform(0.01, 0.08),

@@ -97,7 +97,8 @@ def test_noise_variance_terms():
 
 
 def test_achievable_rate():
-    assert achievable_rate(NOISE, 0.0) == 0.0
+    dark = achievable_rate(NOISE, 0.0)
+    assert dark == 0.0 and math.copysign(1.0, dark) == 1.0
     r = achievable_rate(NOISE, 0.010)
     snr = (0.4 * 0.010) ** 2 / (2.0 * math.pi * math.e * noise_variance(NOISE, 0.010))
     assert math.isclose(r, 0.5 * math.log2(1.0 + snr), rel_tol=1e-12)

@@ -222,6 +222,9 @@ def test_fundamental_radius_waist_formula():
                         math.sqrt(lam * z_r / math.pi), rel_tol=1e-12)
     with pytest.raises(ValueError):
         fundamental_radius(complex(0.1, 1e-4), -1064e-9)
+    for q in (1 + 0j, -1e-4j):  # Im(1/q) is -0.0 or positive: no confined mode
+        with pytest.raises(ValueError, match="^non-physical mode"):
+            fundamental_radius(q, lam)
 
 
 def test_propagation_factor_anchor():

@@ -9,6 +9,7 @@ import pytest
 from rbswipt.params import (
     ConfigError,
     SystemParams,
+    _READERS,
     _with_field,
     format_defaults,
     load_params,
@@ -38,7 +39,8 @@ def test_spec_object_properties_mirror_fields():
     assert p.loss.r_m2 == p.r_m2 and p.loss.gamma_diff == p.gamma_diff
     assert p.concentrator.a_pd == p.a_pd and p.concentrator.psi == p.psi
     assert p.noise.b == p.b and p.noise.t == p.t
-    assert p.pv.i0 == p.i0 and p.pv.t == p.t
+    assert p.pv.i0 == p.i0 and p.pv.t == p.t and p.pv.lam == p.lam
+    assert _READERS["lam"] == ("gain", "pv")  # the cell's quantum limit reads lam
     assert not hasattr(p, "safety")  # --safety reads the safety fields themselves
 
 
@@ -63,7 +65,7 @@ def test_spec_objects_are_built_once_and_kept():
         parse_config_text("geometry = 1")
 
 
-QUANTUM_LIMIT_BREACHES = (("rho", 0.86), ("lam", 743e-9))
+QUANTUM_LIMIT_BREACHES = (("rho", 0.86), ("rho", 0.9), ("lam", 743e-9), ("lam", 700e-9))
 
 
 def test_validation_rejects_out_of_range():

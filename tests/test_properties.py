@@ -164,7 +164,7 @@ def test_weak_carrier_rate_stays_positive():
 
 
 # PV cells drawn like test_acceptance's, with photocurrents from 1 nA to 30 A
-pv_cell = st.builds(PVSpec, rho=st.just(0.6),
+pv_cell = st.builds(PVSpec, rho=st.just(0.6), lam=st.just(1064e-9),
                     i0=st.floats(-8.0, -5.0).map(lambda e: 10.0 ** e),
                     r_sh=st.floats(30.0, 300.0), r_s=st.floats(0.01, 0.08),
                     n=st.floats(1.3, 1.9), n_s=st.integers(1, 2),

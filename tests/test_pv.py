@@ -1,5 +1,6 @@
 """Single-diode photovoltaic solves, open-circuit voltage and MPPT."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,13 @@ from rbswipt.pv import (
     solve_operating_point,
 )
 
-SPEC = PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1, t=298.0)
+SPEC = PVSpec(rho=0.6, lam=1064e-9, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1,
+              t=298.0)
 I_PH = 3.247419385080777  # photocurrent at the reference operating point
 
 
 def random_spec(rng) -> PVSpec:
-    return PVSpec(rho=0.6,
+    return PVSpec(rho=0.6, lam=1064e-9,
                   i0=10.0 ** rng.uniform(-8, -5),
                   r_sh=rng.uniform(30.0, 300.0),
                   r_s=rng.uniform(0.01, 0.08),
@@ -37,16 +39,27 @@ def test_spec_validation_and_thermal_voltage():
                         rel_tol=1e-15)
     assert math.isclose(SPEC.thermal_voltage, 0.02567965312119263, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        PVSpec(rho=0.6, i0=-1e-7, r_sh=53.82, r_s=0.037, n=1.48, n_s=1, t=298.0)
+        PVSpec(rho=0.6, lam=1064e-9, i0=-1e-7, r_sh=53.82, r_s=0.037, n=1.48, n_s=1,
+               t=298.0)
     with pytest.raises(ValueError):
-        PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=0, t=298.0)
+        PVSpec(rho=0.6, lam=1064e-9, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=0,
+               t=298.0)
     with pytest.raises(ValueError, match="whole number"):
-        PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1.5, t=298.0)
+        PVSpec(rho=0.6, lam=1064e-9, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1.5,
+               t=298.0)
     for n, t in ((5e-324, 298.0), (1.48, 1e-320), (1.48, 5e-324)):  # n_s*n*v_t underflows
         with pytest.raises(ValueError, match=r"n_s\*n\*v_t must be positive"):
-            PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=n, n_s=1, t=t)
-    assert PVSpec(rho=0.6, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=2.0,
+            PVSpec(rho=0.6, lam=1064e-9, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=n, n_s=1, t=t)
+    assert PVSpec(rho=0.6, lam=1064e-9, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=2.0,
                   t=298.0).n_s == 2
+    # at most one electron per photon: rho <= e*lam/(h*c) at the cell's own lam
+    for rho, lam, limit in ((0.86, 1064e-9, "0.8582"), (0.6, 743e-9, "0.5993")):
+        with pytest.raises(ValueError, match=rf"^rho must not exceed the quantum limit "
+                           rf"e\*lam/\(h\*c\) = {limit} A/W at lam = {lam!r} m, got {rho}$"):
+            dataclasses.replace(SPEC, rho=rho, lam=lam)
+    assert dataclasses.replace(SPEC, rho=0.86, lam=1100e-9).rho == 0.86  # limit 0.8872 A/W
+    with pytest.raises(ValueError, match="^lam must be positive and finite$"):
+        dataclasses.replace(SPEC, lam=math.nan)
 
 
 def test_received_pt_power_extraction_chain():
@@ -103,7 +116,10 @@ def test_operating_point_structure():
         solve_operating_point(SPEC, -1.0, 0.4)
     with pytest.raises(ValueError):
         solve_operating_point(SPEC, I_PH, -0.1)
-    assert solve_operating_point(SPEC, 0.0, 0.0).p_charge == 0.0
+    # a dark cell at zero volts: the bracket is [0, 0] and the residual there is +0.0
+    dark = solve_operating_point(SPEC, 0.0, 0.0)
+    assert dark == OperatingPoint(0.0, 0.0, 0.0, 0.0)
+    assert all(math.copysign(1.0, x) == 1.0 for x in dataclasses.astuple(dark))
 
 
 def test_current_monotone_decreasing_in_voltage():
@@ -133,7 +149,8 @@ def test_open_circuit_voltage():
     # definition: photocurrent exactly balances diode and shunt
     i_d = SPEC.i0 * math.expm1(v_oc / (SPEC.n_s * SPEC.n * SPEC.thermal_voltage))
     assert abs(I_PH - i_d - v_oc / SPEC.r_sh) < 1e-12 * I_PH
-    assert open_circuit_voltage(SPEC, 0.0) == 0.0
+    v_dark = open_circuit_voltage(SPEC, 0.0)
+    assert v_dark == 0.0 and math.copysign(1.0, v_dark) == 1.0
     with pytest.raises(ValueError):
         open_circuit_voltage(SPEC, -1.0)
 

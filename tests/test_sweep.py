@@ -455,6 +455,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad.write_text("r_m2 = 1.7\n", encoding="utf-8")
     assert main(["--config", str(bad)]) == 2
     assert main(["--sweep", "d:1:2"]) == 2  # malformed token
+    for token in ("d:a:b:3", "d:1:2:3.5", "d:1e0:2:0x3"):  # non-numeric MIN:MAX:STEPS
+        assert main(["--sweep", token]) == 2, token
     assert main(["--sweep", "d:2:1:5"]) == 2  # empty range
     assert main(["--sweep", "x:1:2:5"]) == 2  # unknown axis
     assert main(["--sweep", "p_in:0:inf:3"]) == 2  # unbounded range
