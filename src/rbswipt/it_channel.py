@@ -135,8 +135,6 @@ def noise_variance(spec: NoiseSpec, p_recv_it: float) -> float:
 
 def achievable_rate(spec: NoiseSpec, p_recv_it: float) -> float:
     """Spectral efficiency [bit/s/Hz]: 0.5*log2(1 + (gamma*P)^2/(2*pi*e*sigma^2))."""
-    if p_recv_it < 0.0:
-        raise ValueError("p_recv_it must be non-negative")
     signal = spec.gamma * p_recv_it
     var = noise_variance(spec, p_recv_it)
     snr = signal * signal / (2.0 * math.pi * math.e * var)

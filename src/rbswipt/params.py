@@ -248,16 +248,15 @@ def parse_config_text(text: str) -> dict[str, float | int | str]:
     return result
 
 
-def load_params(path: str | None = None, **overrides: float | int | str) -> SystemParams:
-    """Defaults, optionally updated from a config file and keyword overrides."""
+def load_params(path: str | None = None) -> SystemParams:
+    """Defaults, optionally updated from a config file."""
     values: dict[str, float | int | str] = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                values.update(parse_config_text(fh.read()))
+                values = parse_config_text(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    values.update(overrides)
     try:
         return SystemParams(**values)
     except (ValueError, TypeError) as exc:

@@ -197,33 +197,24 @@ def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     P'' = 2*i' + v*i'' < 0 for v >= 0.
 
     The search stops once the bracket is narrower than 1e-9*v_oc, after
-    _STEPS = 44 steps and 2 + 44 solves whatever i_ph is.
+    _STEPS = 44 steps and 2 + 44 solves whatever i_ph is.  Each step keeps the
+    better point of the pair and adds one, so the pair always holds the best
+    point solved so far, concave or not.
     """
-    if i_ph < 0.0:
-        raise ValueError("i_ph must be non-negative")
     if i_ph == 0.0:
         return OperatingPoint(0.0, 0.0, 0.0, 0.0)
-    v_oc = open_circuit_voltage(spec, i_ph)
-
-    def point(v: float) -> OperatingPoint:
-        return solve_operating_point(spec, i_ph, v)
-
+    v_oc = open_circuit_voltage(spec, i_ph)  # raises for i_ph < 0
     lo, hi = 0.0, v_oc
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    p1, p2 = point(x1), point(x2)
-    best = p1 if p1.p_charge >= p2.p_charge else p2
+    p1, p2 = solve_operating_point(spec, i_ph, x1), solve_operating_point(spec, i_ph, x2)
     for _ in range(_STEPS):
         if p1.p_charge < p2.p_charge:
             lo, x1, p1 = x1, x2, p2
             x2 = lo + _GOLDEN * (hi - lo)
-            p2 = point(x2)
+            p2 = solve_operating_point(spec, i_ph, x2)
         else:
             hi, x2, p2 = x2, x1, p1
             x1 = hi - _GOLDEN * (hi - lo)
-            p1 = point(x1)
-        if p1.p_charge >= best.p_charge:
-            best = p1
-        if p2.p_charge >= best.p_charge:
-            best = p2
-    return best
+            p1 = solve_operating_point(spec, i_ph, x1)
+    return p2 if p2.p_charge >= p1.p_charge else p1

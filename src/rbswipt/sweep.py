@@ -25,6 +25,8 @@ from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _with_field
 
 AXES = ("d", "p_in", "r_m2", "l_s")
 
+MAX_STEPS = 1_000_000  # validation builds the whole grid, about 50 bytes a step
+
 CSV_HEADER = "axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status"
 
 
@@ -52,6 +54,8 @@ class SweepSpec:
         object.__setattr__(self, "axis", canonical_axis(self.axis))
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ConfigError(f"sweep needs at most {MAX_STEPS} steps, got {self.steps}")
         if not -math.inf < self.vmin < self.vmax < math.inf:
             raise ConfigError("sweep range must be finite with min < max, "
                               f"got [{self.vmin}, {self.vmax}]")

@@ -119,5 +119,5 @@ def test_achievable_rate():
     r = achievable_rate(quiet, 0.010)
     assert math.isclose(r, math.log2(0.4 * 0.010) - 0.5 * math.log2(2.0 * math.pi * math.e)
                         - 0.5 * math.log2(var), rel_tol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p_recv_it must be non-negative"):
         achievable_rate(NOISE, -1e-3)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rbswipt import pv
 from rbswipt.constants import E_CHARGE, K_BOLTZMANN
 from rbswipt.pv import (
     OperatingPoint,
@@ -169,8 +170,29 @@ def test_mppt_reference_point():
     assert math.isclose(op.p_charge, 1.2175157295037338, rel_tol=1e-12)
     assert max(kirchhoff_residuals(SPEC, I_PH, op)) < 1e-12
     assert mppt(SPEC, 0.0).p_charge == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="i_ph must be non-negative"):
         mppt(SPEC, -1.0)
+
+
+def test_mppt_returns_the_best_point_it_solved(monkeypatch):
+    # the golden-section pair always holds the best point solved so far, so
+    # returning the better of the final pair returns the best of all 46
+    solved = []
+
+    def recording(*args):
+        solved.append(solve_operating_point(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(pv, "solve_operating_point", recording)
+    rng = np.random.default_rng(4242)
+    cases = [(SPEC, I_PH), (SPEC, 1e-9)]
+    cases += [(random_spec(rng), rng.uniform(0.05, 0.8)) for _ in range(10)]
+    for spec, i_ph in cases:
+        solved.clear()
+        op = mppt(spec, i_ph)
+        assert len(solved) == 46
+        assert any(op is p for p in solved)
+        assert op.p_charge == max(p.p_charge for p in solved)
 
 
 def test_mppt_beats_neighbours_and_scans():

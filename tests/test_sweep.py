@@ -22,6 +22,7 @@ from rbswipt.resonator import GainMediumSpec, LossBudget, SHGSpec
 from rbswipt.sweep import (
     AXES,
     CSV_HEADER,
+    MAX_STEPS,
     SweepSpec,
     canonical_axis,
     emit_csv,
@@ -49,7 +50,7 @@ def test_axis_canonicalization():
         canonical_axis("wavelength")
 
 
-def test_sweep_spec_validation():
+def test_sweep_spec_validation(monkeypatch):
     with pytest.raises(ConfigError):
         SweepSpec(axis="d", vmin=1.0, vmax=2.0, steps=1, params=PARAMS)
     with pytest.raises(ConfigError):
@@ -71,6 +72,18 @@ def test_sweep_spec_validation():
     spec = SweepSpec(axis="P_in", vmin=0.0, vmax=100.0, steps=11, params=PARAMS)
     assert spec.axis == "p_in"
     assert list(spec.values()) == [10.0 * k for k in range(11)]
+    # the step count is bounded before the grid is built
+    assert MAX_STEPS == 10**6
+    spec = SweepSpec(axis="d", vmin=1.0, vmax=2.0, steps=MAX_STEPS, params=PARAMS)
+    assert len(spec.values()) == MAX_STEPS
+
+    def no_grid(self):
+        raise AssertionError("grid built for a step count over the bound")
+
+    monkeypatch.setattr(SweepSpec, "values", no_grid)
+    for steps in (MAX_STEPS + 1, 10**11):
+        with pytest.raises(ConfigError, match=f"sweep needs at most 1000000 steps, got {steps}"):
+            SweepSpec(axis="d", vmin=1.0, vmax=2.0, steps=steps, params=PARAMS)
 
 
 # the sweeps CI runs, 2-step grids, and tiny and huge spans
@@ -486,6 +499,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--sweep", "l_s:5e-324:1e-323:10"]) == 2  # step underflows to 0
     assert main(["--sweep", "l_s:0.0001:1e300:3"]) == 2  # l_s**2 overflows
     assert main(["--sweep", "d:1:1.0000000000000002:10"]) == 2  # rows repeat a value
+    assert main(["--sweep", "d:1:2:100000000000"]) == 2  # more steps than MAX_STEPS
     for extra in (["--sweep", "d:1:2:3"],  # a report and a sweep at once
                   ["--sweep", "d:1:2:3", "--csv", str(tmp_path / "out")],
                   ["--sweep", "d:1:2:3", "--svg", str(tmp_path / "out")]):
