@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"sweep one parameter (axes: {', '.join(AXES)})")
     parser.add_argument("--csv", metavar="PATH", help="write sweep rows as CSV")
     parser.add_argument("--svg", metavar="PATH", help="write sweep chart as SVG")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes for sweeps (default: 1)")
     parser.add_argument("--safety", action="store_true",
                         help="print the exposure-limit report and exit")
     parser.add_argument("--print-defaults", action="store_true",
@@ -98,11 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        jobs = 1 if args.jobs is None else args.jobs
-        if jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-        if (args.csv or args.svg or args.jobs is not None) and not args.sweep:
-            raise ConfigError("--csv, --svg and --jobs apply to sweep rows and need --sweep")
+        if (args.csv or args.svg) and not args.sweep:
+            raise ConfigError("--csv and --svg apply to sweep rows and need --sweep")
         if args.safety and (args.sweep or args.csv or args.svg):
             raise ConfigError("--safety prints a report and takes no --sweep, --csv or --svg")
         if args.print_defaults:
@@ -117,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.sweep:
             spec = _parse_sweep_token(args.sweep, params)
-            rows = run_sweep(spec, max_workers=jobs)
+            rows = run_sweep(spec)
             if args.csv:
                 emit_csv(rows, args.csv)
                 print(f"wrote {args.csv}", file=sys.stderr)

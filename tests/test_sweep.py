@@ -51,6 +51,11 @@ def test_axis_canonicalization():
 
 
 def test_sweep_spec_validation(monkeypatch):
+    # a step count that is no integer is refused first, even with a bad axis
+    for steps in (2.5, math.nan, "3", None):
+        with pytest.raises(ConfigError, match="steps must be an integer"):
+            SweepSpec(axis="q", vmin=1.0, vmax=2.0, steps=steps, params=PARAMS)
+    assert SweepSpec(axis="d", vmin=1.0, vmax=2.0, steps=np.int64(3), params=PARAMS).steps == 3
     with pytest.raises(ConfigError):
         SweepSpec(axis="d", vmin=1.0, vmax=2.0, steps=1, params=PARAMS)
     with pytest.raises(ConfigError):
@@ -107,8 +112,8 @@ def test_grid_is_the_numpy_grid(axis, lo, hi, steps):
 
 
 def test_import_path_stays_lean():
-    # numpy is a test dependency only, and only a worker pool needs
-    # concurrent.futures (which loads logging)
+    # numpy is a test dependency only, and nothing in the package needs
+    # concurrent.futures or logging
     child = ("import sys\n"
              "before = set(sys.modules)\n"
              "import rbswipt, rbswipt.cli\n"
@@ -181,61 +186,6 @@ def test_rows_rebuild_only_the_spec_that_reads_the_axis(monkeypatch, axis, rebui
     assert built == {cls: len(rows) if cls is rebuilt else 0 for cls in SPEC_CLASSES}
 
 
-def test_parallel_matches_serial():
-    spec = SweepSpec(axis="p_in", vmin=20.0, vmax=80.0, steps=7, params=PARAMS)
-    serial = run_sweep(spec, max_workers=1)
-    parallel = run_sweep(spec, max_workers=3)
-    assert serial == parallel  # bit-for-bit identical rows, same order
-
-
-def _recording_pool(monkeypatch, cpus):
-    """Replace the process pool by one that records its size and maps
-    in-process, and report `cpus` CPUs; returns the list of pool sizes."""
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return sizes
-
-
-@pytest.mark.parametrize("jobs, steps, cpus, pools", [
-    (5000, 3, 8, [3]),   # no more workers than rows
-    (5000, 40, 8, [8]),  # nor than CPUs
-    (4, 40, 8, [4]),
-    (2, 40, 1, []),      # one CPU, or an unknown count: serial, no pool
-    (2, 40, None, []),
-])
-def test_pool_has_at_most_one_worker_per_row_and_cpu(monkeypatch, jobs, steps, cpus, pools):
-    # a forking pool starts all its workers at once, so an oversized --jobs
-    # would start that many interpreters
-    spec = SweepSpec(axis="d", vmin=12.2, vmax=42.2, steps=steps, params=PARAMS)
-    serial = run_sweep(spec)
-    sizes = _recording_pool(monkeypatch, cpus)
-    assert run_sweep(spec, max_workers=jobs) == serial
-    assert sizes == pools
-
-
-def test_cli_jobs_beyond_rows_starts_one_worker_per_row(monkeypatch, capsys):
-    sizes = _recording_pool(monkeypatch, 8)
-    assert main(["--sweep", "d:1:2:3", "--jobs", "5000"]) == 0
-    assert sizes == [3]
-
-
 # lasing, unstable, mostly dark, lasing; the third base's factor is the capture
 # of the multimode radius at the receiving pupil, 6 m out, with lens 1 at f
 PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
@@ -245,13 +195,11 @@ PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
 @pytest.mark.parametrize("base", PUMP_BASES, ids=["default", "unstable", "pupil", "0.9"])
 @pytest.mark.parametrize("lo, hi, steps", [(0.0, 120.0, 25), (31.0, 33.0, 21)])
 def test_pump_sweep_rows_equal_whole_evaluations(base, lo, hi, steps):
-    # a pump sweep shares one cavity stage; every row, serial or from worker
-    # processes, is still the whole evaluation of the point built by replace
+    # a pump sweep shares one cavity stage; every row is still the whole
+    # evaluation of the point built by replace
     spec = SweepSpec(axis="p_in", vmin=lo, vmax=hi, steps=steps, params=base)
     expected = [repr(evaluate_link(dataclasses.replace(base, p_in=v))) for v in spec.values()]
-    for workers in (1, 2):
-        rows = run_sweep(spec, max_workers=workers)
-        assert [repr(r) for _, r in rows] == expected, workers
+    assert [repr(r) for _, r in run_sweep(spec)] == expected
 
 
 def _count_calls(monkeypatch, names):
@@ -291,9 +239,8 @@ def test_pump_sweep_of_lossless_cavity_is_an_error():
                                    gamma_l2=1.0, r_m1=1.0, r_m2=1.0, alpha_air=0.0,
                                    gamma_diff=1.0)
     spec = SweepSpec(axis="p_in", vmin=0.0, vmax=60.0, steps=4, params=lossless)
-    for workers in (1, 2):
-        with pytest.raises(ValueError, match="lossless cavity"):
-            run_sweep(spec, max_workers=workers)
+    with pytest.raises(ValueError, match="lossless cavity"):
+        run_sweep(spec)
 
 
 # ------------------------------------------------------------------- emitters
@@ -484,11 +431,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main(["--config", str(bad)]) == 2, line
     bad.write_bytes(b"p_in = 6\xff0\n")  # not UTF-8
     assert main(["--config", str(bad)]) == 2
-    for jobs in ("0", "-2"):  # no worker count below 1 runs
-        assert main(["--sweep", "d:4:8:3", "--jobs", jobs]) == 2, jobs
-    for extra in ([], ["--safety"], ["--print-defaults"]):  # workers with no sweep to run
-        for jobs in ("1", "3"):
-            assert main([*extra, "--jobs", jobs]) == 2, (extra, jobs)
+    assert main(["--sweep", "d:4:8:3", "--jobs", "2"]) == 2  # no such option
     ir = tmp_path / "ir.cfg"
     ir.write_text("lam = 1550 nm\n", encoding="utf-8")
     assert main(["--config", str(ir)]) == 0  # the link model has no band limit
@@ -585,11 +528,3 @@ def test_cli_solver_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("rbswipt.cli.evaluate_link", boom)
     assert main([]) == 3
     assert "solver failure" in capsys.readouterr().err
-
-
-def test_cli_parallel_sweep(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(["--sweep", "d:4:10:7", "--csv", str(a)]) == 0
-    assert main(["--sweep", "d:4:10:7", "--csv", str(b), "--jobs", "3"]) == 0
-    assert a.read_bytes() == b.read_bytes()
