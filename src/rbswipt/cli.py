@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simulate",

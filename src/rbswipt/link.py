@@ -1,16 +1,17 @@
 """End-to-end link evaluation: pump power in, charging power and rate out.
 
-`evaluate_link` runs two stages.  The cavity stage reads only the geometry,
-gain, loss and crystal specs (`_CAVITY_SPECS`):
+`evaluate_link` composes three stages.  The cavity stage, `_cavity_stage`,
+reads only the geometry, gain, loss and crystal specs (`_CAVITY_SPECS`):
 
 1. cavity stability (an unstable or marginal cavity is dark);
 2. the diffraction factor and the equivalent reflectances at eta = 0;
 3. the lasing threshold at eta = 0.
 
 It returns the dark result of an unstable cavity, or (gamma_diff, threshold).
-The pump stage passes a dark result through; otherwise it runs
+`_dark` then makes the one dark decision from that result and the pump (stage
+4, the threshold comparison).  Only a point that lases reaches `_lasing_stage`,
+which reads the whole parameter record:
 
-4. the threshold comparison, the one dark exit of a pump;
 5. the cavity mode, solved once, its radius w0 at the doubling crystal, and
    the intracavity powers with frequency doubling;
 6. delivery of the fundamental to the photovoltaic receiver (power channel)
@@ -19,9 +20,8 @@ The pump stage passes a dark result through; otherwise it runs
    whose capture reads the same mode's spot, and the achievable rate.
 
 The threshold comes before the mode because it does not depend on w0: a dark
-row pays only for the tests that make it dark.  A sweep whose axis feeds none
-of `_CAVITY_SPECS` (today only `p_in`) shares one cavity stage, run on its base,
-and runs the pump stage on each row.
+point pays only for the tests that make it dark.  A sweep composes the three
+stages itself (see `sweep`), so that a dark row needs no parameter record.
 """
 
 from __future__ import annotations
@@ -57,29 +57,30 @@ _BELOW_THRESHOLD = LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
 _CAVITY_SPECS = ("geometry", "gain", "loss", "shg")
 
 
-def _cavity_stage(params: SystemParams) -> LinkResult | tuple[float, float]:
+def _cavity_stage(geometry: optics.CavityGeometry, gain: resonator.GainMediumSpec,
+                  loss: resonator.LossBudget,
+                  shg: resonator.SHGSpec) -> LinkResult | tuple[float, float]:
     """Stages 1-3: the dark result of an unstable cavity, else the resolved
-    diffraction factor and the threshold pump.  Reads only _CAVITY_SPECS."""
-    geom = params.geometry
+    diffraction factor and the threshold pump."""
     # a marginal cavity confines no Gaussian mode either, so it is dark too
-    if optics.stability_check(geom) != "stable":
+    if optics.stability_check(geometry) != "stable":
         return _UNSTABLE
 
-    gain = params.gain
-    gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
-    r1, r2 = resonator.equivalent_reflectances(params.loss, params.shg, gain, 0.0,
-                                               geom.d, gamma_diff)
+    gamma_diff = resonator.resolve_gamma_diff(loss, geometry, gain.a_g, gain.lam)
+    r1, r2 = resonator.equivalent_reflectances(loss, shg, gain, 0.0, geometry.d, gamma_diff)
     return gamma_diff, resonator.lasing_threshold(gain, r1, r2)
 
 
-def _pump_stage(cavity: LinkResult | tuple[float, float], params: SystemParams) -> LinkResult:
-    """Stages 4-7 for the cavity stage's result `cavity` of these params."""
+def _dark(cavity: LinkResult | tuple[float, float], p_in: float) -> LinkResult | None:
+    """Stage 4, the one dark decision: the shared dark result of the cavity
+    stage's result `cavity` pumped with `p_in`, or None if it lases."""
     if isinstance(cavity, LinkResult):
         return cavity
-    gamma_diff, threshold = cavity
-    if params.p_in <= threshold:
-        return _BELOW_THRESHOLD
+    return _BELOW_THRESHOLD if p_in <= cavity[1] else None
 
+
+def _lasing_stage(gamma_diff: float, params: SystemParams) -> LinkResult:
+    """Stages 5-7 of a point that lases, with the cavity stage's `gamma_diff`."""
     geom, gain = params.geometry, params.gain
     mode = optics.cavity_mode(geom, gain.a_g, gain.lam)
     w0 = optics.beam_radius(mode, 0.0)
@@ -117,4 +118,5 @@ def _pump_stage(cavity: LinkResult | tuple[float, float], params: SystemParams) 
 
 def evaluate_link(params: SystemParams) -> LinkResult:
     """Evaluate the full transfer chain for one configuration."""
-    return _pump_stage(_cavity_stage(params), params)
+    cavity = _cavity_stage(params.geometry, params.gain, params.loss, params.shg)
+    return _dark(cavity, params.p_in) or _lasing_stage(cavity[0], params)

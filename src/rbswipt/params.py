@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from .it_channel import ConcentratorSpec, NoiseSpec
@@ -32,22 +33,23 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid configuration input."""
 
 
-# spec attribute -> (class, the fields it reads).  Each spec class names its
-# fields after the config keys it is built from, and this table is the one
-# record of which field feeds which spec: SystemParams and _with_field both
-# build from it.
+# spec attribute -> (class, the fields it reads, a getter of their values as a
+# tuple).  Each spec class names its fields after the config keys it is built
+# from, and this table is the one record of which field feeds which spec:
+# SystemParams and _row_specs both build from it.
 _SPECS = {
-    attr: (cls, tuple(f.name for f in dataclasses.fields(cls)))
+    attr: (cls, names, operator.itemgetter(*names))
     for attr, cls in (("geometry", CavityGeometry), ("gain", GainMediumSpec),
                       ("shg", SHGSpec), ("loss", LossBudget),
                       ("concentrator", ConcentratorSpec), ("noise", NoiseSpec),
                       ("pv", PVSpec))
+    for names in [tuple(f.name for f in dataclasses.fields(cls))]
 }
 
 
 def _build_spec(fields: dict, attr: str):
-    cls, names = _SPECS[attr]
-    return cls(*[fields[name] for name in names])  # names are in field order
+    cls, _, values = _SPECS[attr]
+    return cls(*values(fields))
 
 
 def _check_loose(name: str, v) -> None:
@@ -151,27 +153,38 @@ class SystemParams:
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
 # field -> the spec attributes that read it (`t` feeds noise and pv)
-_READERS = {name: tuple(attr for attr, (_, names) in _SPECS.items() if name in names)
+_READERS = {name: tuple(attr for attr, (_, names, _) in _SPECS.items() if name in names)
             for name in _FIELD_NAMES}
 _LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
 
 
-def _with_field(base: SystemParams, name: str, value: float | int | str) -> SystemParams:
-    """`base` with one field set to `value`: the record `dataclasses.replace`
-    gives, built without re-running the other 47 fields' checks.
+def _row_specs(base: SystemParams, name: str, value: float | int | str) -> dict:
+    """The spec objects of `base` that read field `name`, rebuilt with `value`,
+    which validates it; a field that no spec reads gets its range check."""
+    readers = _READERS[name]
+    if not readers:
+        _check_loose(name, value)
+        return {}
+    fields = {**vars(base), name: value}
+    specs = {}
+    for attr in readers:
+        specs[attr] = _build_spec(fields, attr)
+    return specs
 
-    The spec objects that read `name` are rebuilt, which validates `value`;
-    a field no spec reads gets its range check.  Every other spec object is
-    the base's own.  Sweep rows are built this way."""
+
+def _with_field(base: SystemParams, name: str, value: float | int | str,
+                specs: dict) -> SystemParams:
+    """`base` with one field set to `value`: the record `dataclasses.replace`
+    gives, built from the `_row_specs` of this change, `specs`, without
+    re-running the other 47 fields' checks.
+
+    Every other spec object is the base's own.  A sweep builds this record
+    only for a row that lases."""
     row = object.__new__(SystemParams)
     fields = vars(row)
     fields.update(vars(base))
     fields[name] = value
-    readers = _READERS[name]
-    for attr in readers:
-        fields[attr] = _build_spec(fields, attr)
-    if not readers:
-        _check_loose(name, value)
+    fields.update(specs)
     return row
 
 

@@ -1,10 +1,10 @@
 """Parameter sweeps over the link chain, with CSV and SVG emitters.
 
 A sweep varies one configuration field over a uniform grid and evaluates the
-full link at each point.  Rows keep grid order.  A field that feeds none of
-the specs the link's cavity stage reads (today only `p_in`) leaves that stage
-the same on every row, so the sweep runs it once, on the base, and evaluates
-only the pump stage per row.  The CSV layout is fixed:
+full link at each point, in grid order, one link stage at a time: a row builds
+its parameter record only if it lases.  A field that feeds none of the specs
+the cavity stage reads (today only `p_in`) leaves that stage the same on every
+row, so the sweep runs it once, on the base.  The CSV layout is fixed:
 
     axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status
 
@@ -15,13 +15,12 @@ labelled polylines on a shared abscissa.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 
-from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _pump_stage, evaluate_link
-from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _with_field
+from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _dark, _lasing_stage
+from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _row_specs, _with_field
 
 AXES = ("d", "p_in", "r_m2", "l_s")
 
@@ -60,9 +59,13 @@ class SweepSpec:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ConfigError(f"sweep needs at most {MAX_STEPS} steps, got {self.steps}")
-        if not -math.inf < self.vmin < self.vmax < math.inf:
-            raise ConfigError("sweep range must be finite with min < max, "
-                              f"got [{self.vmin}, {self.vmax}]")
+        try:
+            ordered = -math.inf < self.vmin < self.vmax < math.inf
+        except TypeError:  # an end that is no number
+            ordered = False
+        if not ordered:
+            raise ConfigError("sweep range must be finite numbers with min < max, "
+                              f"got [{self.vmin!r}, {self.vmax!r}]")
         values = self.values()
         if any(a >= b for a, b in zip(values, values[1:])):  # rows would repeat a point
             raise ConfigError(f"sweep range [{self.vmin!r}, {self.vmax!r}] is too narrow "
@@ -71,7 +74,7 @@ class SweepSpec:
         # points make the whole grid valid
         for value in (self.vmin, self.vmax):
             try:
-                _with_field(self.params, self.axis, value)
+                _row_specs(self.params, self.axis, value)
             except ValueError as exc:
                 raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 
@@ -83,12 +86,20 @@ class SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> list[tuple[float, LinkResult]]:
     """Evaluate the sweep, one row per grid value, in grid order."""
-    values = spec.values()
-    points = (_with_field(spec.params, spec.axis, v) for v in values)
-    evaluate = evaluate_link
-    if set(_READERS[spec.axis]).isdisjoint(_CAVITY_SPECS):  # every row has the base's cavity
-        evaluate = functools.partial(_pump_stage, _cavity_stage(spec.params))
-    return list(zip(values, map(evaluate, points)))
+    base, axis = spec.params, spec.axis
+    cavity_specs = {attr: getattr(base, attr) for attr in _CAVITY_SPECS}
+    cavity_of = operator.itemgetter(*_CAVITY_SPECS)
+    shared = None
+    if cavity_specs.keys().isdisjoint(_READERS[axis]):  # every row has the base's cavity
+        shared = _cavity_stage(*cavity_specs.values())
+    rows = []
+    for value in spec.values():
+        specs = _row_specs(base, axis, value)
+        cavity = shared or _cavity_stage(*cavity_of({**cavity_specs, **specs}))
+        result = (_dark(cavity, value if axis == "p_in" else base.p_in)
+                  or _lasing_stage(cavity[0], _with_field(base, axis, value, specs)))
+        rows.append((value, result))
+    return rows
 
 
 def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:

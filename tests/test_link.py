@@ -140,7 +140,7 @@ def test_solver_call_counts(monkeypatch, d, counts):
     ({"d": 0.5, "p_in": 120.0}, {"optics.single_pass_abcd": 2, "optics.cavity_mode": 1}),
 ])
 def test_cavity_mode_is_solved_once_per_lasing_point(monkeypatch, change, counts):
-    # The stability test builds the single pass once; the pump stage solves the
+    # The stability test builds the single pass once; the lasing stage solves the
     # mode once and reads both w0 and the detector spot from it.
     result, seen = count_calls(monkeypatch, counts, dataclasses.replace(DEFAULT, **change))
     assert result.status == "ok"
@@ -155,7 +155,7 @@ def test_mppt_just_above_threshold(monkeypatch):
         import oracle
     finally:
         sys.path.pop(0)
-    _, threshold = _cavity_stage(DEFAULT)
+    _, threshold = _cavity_stage(DEFAULT.geometry, DEFAULT.gain, DEFAULT.loss, DEFAULT.shg)
     near = dataclasses.replace(DEFAULT, p_in=threshold * (1.0 + 1e-9))
     names = ["pv._diode_current"]
     r, seen = count_calls(monkeypatch, names, near)

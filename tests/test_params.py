@@ -10,6 +10,7 @@ from rbswipt.params import (
     ConfigError,
     SystemParams,
     _READERS,
+    _row_specs,
     _with_field,
     format_defaults,
     load_params,
@@ -123,7 +124,7 @@ def test_row_builder_matches_the_constructor():
     for field in dataclasses.fields(SystemParams):
         name = field.name
         value = OTHER_VALUE[name] if name in OTHER_VALUE else getattr(base, name) * 0.99
-        row = _with_field(base, name, value)
+        row = _with_field(base, name, value, _row_specs(base, name, value))
         ref = dataclasses.replace(base, **{name: value})
         assert row == ref and getattr(row, name) == value != getattr(base, name)
         assert pickle.dumps(row) == pickle.dumps(ref), name
@@ -134,13 +135,13 @@ def test_row_builder_matches_the_constructor():
             assert (spec is getattr(base, attr)) is not reads, (name, attr)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError) as built:
-                _with_field(base, name, bad)
+                _row_specs(base, name, bad)
             with pytest.raises(ValueError) as constructed:
                 SystemParams(**{name: bad})
             assert str(built.value) == str(constructed.value), (name, bad)
     for name, bad in QUANTUM_LIMIT_BREACHES:  # checks that read two fields
         with pytest.raises(ValueError) as built:
-            _with_field(base, name, bad)
+            _row_specs(base, name, bad)
         with pytest.raises(ValueError) as constructed:
             SystemParams(**{name: bad})
         assert str(built.value) == str(constructed.value), (name, bad)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from rbswipt import link
-from rbswipt.cli import main
+from rbswipt import sweep as sweep_module
+from rbswipt.cli import build_parser, main
 from rbswipt.it_channel import ConcentratorSpec, NoiseSpec
 from rbswipt.link import LinkResult, evaluate_link
 from rbswipt.optics import CavityGeometry
@@ -65,6 +66,12 @@ def test_sweep_spec_validation(monkeypatch):
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ConfigError):
             SweepSpec(axis="p_in", vmin=lo, vmax=hi, steps=3, params=PARAMS)
+    for lo, hi in (("1", 2.0), (None, 2.0), (1.0, "2"), (1.0, None)):  # an end that is no number
+        with pytest.raises(ConfigError, match="finite numbers"):
+            SweepSpec(axis="d", vmin=lo, vmax=hi, steps=3, params=PARAMS)
+    ends = SweepSpec(axis="d", vmin=np.float64(1.0), vmax=np.float64(2.0), steps=3,
+                     params=PARAMS).values()
+    assert ends == [1.0, 1.5, 2.0]
     for axis, lo, hi in (("r_m2", 0.5, 1.5), ("d", -1.0, 5.0), ("l_s", 0.0, 1e-3)):
         with pytest.raises(ConfigError):  # an end point outside the field's range
             SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=3, params=PARAMS)
@@ -146,15 +153,42 @@ def test_crystal_length_sweep_lases_throughout():
 GRIDS = {"d": (0.45, 13.25), "p_in": (0.0, 120.0), "r_m2": (0.5, 1.0),
          "l_s": (0.0001, 0.006)}
 
+# lasing, unstable, mostly dark, lasing; the third base's factor is the capture
+# of the multimode radius at the receiving pupil, 6 m out, with lens 1 at f
+PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
+              SystemParams(gamma_diff=0.6321113620724551), SystemParams(gamma_diff=0.9)]
+
 
 @pytest.mark.parametrize("axis", AXES)
 def test_rows_match_points_built_by_replace(axis):
-    base = SystemParams(p_in=80.0, l_s=1e-3, d=4.0)  # all three statuses across AXES
+    # a row runs the link's stages itself, so this equality is what ties it to
+    # evaluate_link; the first base gives all three statuses across AXES
     lo, hi = GRIDS[axis]
-    rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=base))
-    for value, result in rows:
-        point = dataclasses.replace(base, **{axis: value})
-        assert repr(result) == repr(evaluate_link(point))
+    for base in (SystemParams(p_in=80.0, l_s=1e-3, d=4.0), *PUMP_BASES):
+        rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=base))
+        for value, result in rows:
+            point = dataclasses.replace(base, **{axis: value})
+            assert repr(result) == repr(evaluate_link(point)), (base, value)
+
+
+@pytest.mark.parametrize("axis, lo, hi, steps, lasing", [
+    ("d", 12.2, 42.2, 600, False), ("p_in", 0.0, 27.0, 600, False),
+    ("p_in", 0.0, 120.0, 61, True), ("d", 0.45, 13.25, 33, True),
+])
+def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps, lasing):
+    # only a row that lases reads the whole record, so only such a row builds one
+    built = []
+    with_field = sweep_module._with_field
+
+    def counting(base, name, value, specs):
+        built.append(value)
+        return with_field(base, name, value, specs)
+
+    monkeypatch.setattr(sweep_module, "_with_field", counting)
+    rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=PARAMS))
+    ok = [value for value, r in rows if r.status == "ok"]
+    assert built == ok
+    assert bool(ok) is lasing and len(ok) < len(rows)
 
 
 SPEC_CLASSES = (CavityGeometry, GainMediumSpec, SHGSpec, LossBudget, ConcentratorSpec,
@@ -184,12 +218,6 @@ def test_rows_rebuild_only_the_spec_that_reads_the_axis(monkeypatch, axis, rebui
         monkeypatch.setattr(cls, "__post_init__", counting(cls))
     rows = run_sweep(spec)
     assert built == {cls: len(rows) if cls is rebuilt else 0 for cls in SPEC_CLASSES}
-
-
-# lasing, unstable, mostly dark, lasing; the third base's factor is the capture
-# of the multimode radius at the receiving pupil, 6 m out, with lens 1 at f
-PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
-              SystemParams(gamma_diff=0.6321113620724551), SystemParams(gamma_diff=0.9)]
 
 
 @pytest.mark.parametrize("base", PUMP_BASES, ids=["default", "unstable", "pupil", "0.9"])
@@ -401,6 +429,28 @@ def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert code == 0
     assert csv_path.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
     ET.parse(str(svg_path))
+
+
+def test_cli_calls_in_one_process_match_fresh_ones(tmp_path, capsys):
+    # main() builds its parser once per process; a call that follows others,
+    # refused ones included, ends as it does on a freshly built parser
+    csv_path = tmp_path / "out.csv"
+    calls = (["--sweep", "d:4:8:5", "--csv", str(csv_path)], ["--csv", str(csv_path)],
+             ["--no-such-flag"], [])
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err, csv_path.read_bytes()
+
+    assert build_parser() is build_parser()
+    in_turn = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert in_turn == fresh
+    assert [code for code, *_ in in_turn] == [0, 2, 2, 0]
 
 
 def test_cli_sweep_table_to_stdout(capsys):
