@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
@@ -27,7 +26,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simulate",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 from .it_channel import ConcentratorSpec, NoiseSpec
@@ -33,23 +32,22 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid configuration input."""
 
 
-# spec attribute -> (class, the fields it reads, a getter of their values as a
-# tuple).  Each spec class names its fields after the config keys it is built
-# from, and this table is the one record of which field feeds which spec:
-# SystemParams and _row_specs both build from it.
+# spec attribute -> (class, the fields it reads).  Each spec class names its
+# fields after the config keys it is built from, and this table is the one
+# record of which field feeds which spec: SystemParams and _row_specs both
+# build from it.
 _SPECS = {
-    attr: (cls, names, operator.itemgetter(*names))
+    attr: (cls, tuple(f.name for f in dataclasses.fields(cls)))
     for attr, cls in (("geometry", CavityGeometry), ("gain", GainMediumSpec),
                       ("shg", SHGSpec), ("loss", LossBudget),
                       ("concentrator", ConcentratorSpec), ("noise", NoiseSpec),
                       ("pv", PVSpec))
-    for names in [tuple(f.name for f in dataclasses.fields(cls))]
 }
 
 
 def _build_spec(fields: dict, attr: str):
-    cls, _, values = _SPECS[attr]
-    return cls(*values(fields))
+    cls, names = _SPECS[attr]
+    return cls(*[fields[name] for name in names])  # names are in field order
 
 
 def _check_loose(name: str, v) -> None:
@@ -153,38 +151,35 @@ class SystemParams:
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
 # field -> the spec attributes that read it (`t` feeds noise and pv)
-_READERS = {name: tuple(attr for attr, (_, names, _) in _SPECS.items() if name in names)
+_READERS = {name: tuple(attr for attr, (_, names) in _SPECS.items() if name in names)
             for name in _FIELD_NAMES}
 _LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
 
 
 def _row_specs(base: SystemParams, name: str, value: float | int | str) -> dict:
-    """The spec objects of `base` that read field `name`, rebuilt with `value`,
-    which validates it; a field that no spec reads gets its range check."""
+    """The entries of `base`'s fields that setting `name` to `value` changes:
+    `name` itself and the spec objects that read it, rebuilt, which validates
+    `value`.  A field that no spec reads gets its range check instead."""
     readers = _READERS[name]
+    changes = {name: value}
     if not readers:
         _check_loose(name, value)
-        return {}
+        return changes
     fields = {**vars(base), name: value}
-    specs = {}
     for attr in readers:
-        specs[attr] = _build_spec(fields, attr)
-    return specs
+        changes[attr] = _build_spec(fields, attr)
+    return changes
 
 
-def _with_field(base: SystemParams, name: str, value: float | int | str,
-                specs: dict) -> SystemParams:
-    """`base` with one field set to `value`: the record `dataclasses.replace`
-    gives, built from the `_row_specs` of this change, `specs`, without
-    re-running the other 47 fields' checks.
-
-    Every other spec object is the base's own.  A sweep builds this record
-    only for a row that lases."""
+def _with_field(base: SystemParams, changes: dict) -> SystemParams:
+    """`base` with the `_row_specs` entries `changes`: the record
+    `dataclasses.replace` gives, built without re-running the other 47 fields'
+    checks.  Every other spec object is the base's own.  A sweep builds this
+    record only for a row that lases."""
     row = object.__new__(SystemParams)
     fields = vars(row)
     fields.update(vars(base))
-    fields[name] = value
-    fields.update(specs)
+    fields.update(changes)
     return row
 
 

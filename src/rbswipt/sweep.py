@@ -94,10 +94,10 @@ def run_sweep(spec: SweepSpec) -> list[tuple[float, LinkResult]]:
         shared = _cavity_stage(*cavity_specs.values())
     rows = []
     for value in spec.values():
-        specs = _row_specs(base, axis, value)
-        cavity = shared or _cavity_stage(*cavity_of({**cavity_specs, **specs}))
-        result = (_dark(cavity, value if axis == "p_in" else base.p_in)
-                  or _lasing_stage(cavity[0], _with_field(base, axis, value, specs)))
+        changes = _row_specs(base, axis, value)
+        cavity = shared or _cavity_stage(*cavity_of({**cavity_specs, **changes}))
+        result = (_dark(cavity, changes.get("p_in", base.p_in))
+                  or _lasing_stage(cavity[0], _with_field(base, changes)))
         rows.append((value, result))
     return rows
 

@@ -124,7 +124,7 @@ def test_row_builder_matches_the_constructor():
     for field in dataclasses.fields(SystemParams):
         name = field.name
         value = OTHER_VALUE[name] if name in OTHER_VALUE else getattr(base, name) * 0.99
-        row = _with_field(base, name, value, _row_specs(base, name, value))
+        row = _with_field(base, _row_specs(base, name, value))
         ref = dataclasses.replace(base, **{name: value})
         assert row == ref and getattr(row, name) == value != getattr(base, name)
         assert pickle.dumps(row) == pickle.dumps(ref), name

@@ -13,7 +13,7 @@ import pytest
 
 from rbswipt import link
 from rbswipt import sweep as sweep_module
-from rbswipt.cli import build_parser, main
+from rbswipt.cli import main
 from rbswipt.it_channel import ConcentratorSpec, NoiseSpec
 from rbswipt.link import LinkResult, evaluate_link
 from rbswipt.optics import CavityGeometry
@@ -180,9 +180,9 @@ def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps
     built = []
     with_field = sweep_module._with_field
 
-    def counting(base, name, value, specs):
-        built.append(value)
-        return with_field(base, name, value, specs)
+    def counting(base, changes):
+        built.append(changes[axis])
+        return with_field(base, changes)
 
     monkeypatch.setattr(sweep_module, "_with_field", counting)
     rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=PARAMS))
@@ -429,28 +429,6 @@ def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert code == 0
     assert csv_path.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
     ET.parse(str(svg_path))
-
-
-def test_cli_calls_in_one_process_match_fresh_ones(tmp_path, capsys):
-    # main() builds its parser once per process; a call that follows others,
-    # refused ones included, ends as it does on a freshly built parser
-    csv_path = tmp_path / "out.csv"
-    calls = (["--sweep", "d:4:8:5", "--csv", str(csv_path)], ["--csv", str(csv_path)],
-             ["--no-such-flag"], [])
-
-    def run(argv):
-        code = main(argv)
-        out, err = capsys.readouterr()
-        return code, out, err, csv_path.read_bytes()
-
-    assert build_parser() is build_parser()
-    in_turn = [run(argv) for argv in calls]
-    fresh = []
-    for argv in calls:
-        build_parser.cache_clear()
-        fresh.append(run(argv))
-    assert in_turn == fresh
-    assert [code for code, *_ in in_turn] == [0, 2, 2, 0]
 
 
 def test_cli_sweep_table_to_stdout(capsys):
