@@ -7,7 +7,8 @@ objects of the link stages are built and validated once, when the parameters
 are constructed, and kept as attributes outside the dataclass fields; the
 safety fields are range-checked here and read only by the `--safety` report.
 A sweep row differs from its base in one field, so it rebuilds only the spec
-objects that read that field and shares the rest.
+objects that read that field, with their other arguments taken from the base
+once per sweep, and shares the rest.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -43,11 +44,6 @@ _SPECS = {
                       ("concentrator", ConcentratorSpec), ("noise", NoiseSpec),
                       ("pv", PVSpec))
 }
-
-
-def _build_spec(fields: dict, attr: str):
-    cls, names = _SPECS[attr]
-    return cls(*[fields[name] for name in names])  # names are in field order
 
 
 def _check_loose(name: str, v) -> None:
@@ -143,8 +139,8 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         fields = vars(self)
-        for attr in _SPECS:
-            fields[attr] = _build_spec(fields, attr)
+        for attr, (cls, names) in _SPECS.items():
+            fields[attr] = cls(*[fields[name] for name in names])  # names are in field order
         for name in _LOOSE:
             _check_loose(name, fields[name])
 
@@ -156,23 +152,33 @@ _READERS = {name: tuple(attr for attr, (_, names) in _SPECS.items() if name in n
 _LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
 
 
-def _row_specs(base: SystemParams, name: str, value: float | int | str) -> dict:
-    """The entries of `base`'s fields that setting `name` to `value` changes:
-    `name` itself and the spec objects that read it, rebuilt, which validates
-    `value`.  A field that no spec reads gets its range check instead."""
+def _row_specs(base: SystemParams, name: str):
+    """The function a sweep row calls with its value of `name`: it returns the
+    fields that value changes, `name` and the specs that read it, each rebuilt
+    by its constructor, which validates the value (a field no spec reads gets
+    its range check).  It reads `base` once, then writes only `name`'s slots."""
     readers = _READERS[name]
-    changes = {name: value}
     if not readers:
-        _check_loose(name, value)
-        return changes
-    fields = {**vars(base), name: value}
+        def row(value):
+            _check_loose(name, value)
+            return {name: value}
+        return row
+    builds = []  # (attr, class, argument list, the slot of `name` in it)
     for attr in readers:
-        changes[attr] = _build_spec(fields, attr)
-    return changes
+        cls, names = _SPECS[attr]
+        builds.append((attr, cls, [getattr(base, f) for f in names], names.index(name)))
+
+    def row(value):
+        changes = {name: value}
+        for attr, cls, args, slot in builds:
+            args[slot] = value
+            changes[attr] = cls(*args)
+        return changes
+    return row
 
 
 def _with_field(base: SystemParams, changes: dict) -> SystemParams:
-    """`base` with the `_row_specs` entries `changes`: the record
+    """`base` with the entries `changes` of a `_row_specs` row: the record
     `dataclasses.replace` gives, built without re-running the other 47 fields'
     checks.  Every other spec object is the base's own.  A sweep builds this
     record only for a row that lases."""

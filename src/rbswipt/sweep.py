@@ -2,9 +2,10 @@
 
 A sweep varies one configuration field over a uniform grid and evaluates the
 full link at each point, in grid order, one link stage at a time: a row builds
-its parameter record only if it lases.  A field that feeds none of the specs
-the cavity stage reads (today only `p_in`) leaves that stage the same on every
-row, so the sweep runs it once, on the base.  The CSV layout is fixed:
+its parameter record only if it lases, and rebuilds only the specs its value
+feeds (`params._row_specs`).  A field that feeds none of the specs the cavity
+stage reads (today only `p_in`) leaves that stage the same on every row, so
+the sweep runs it once, on the base.  The CSV layout is fixed:
 
     axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status
 
@@ -59,9 +60,9 @@ class SweepSpec:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ConfigError(f"sweep needs at most {MAX_STEPS} steps, got {self.steps}")
-        try:
-            ordered = -math.inf < self.vmin < self.vmax < math.inf
-        except TypeError:  # an end that is no number
+        try:  # + 0.0 refuses an end that does not mix with floats: a str, None or Decimal
+            ordered = -math.inf < self.vmin + 0.0 < self.vmax + 0.0 < math.inf
+        except (TypeError, OverflowError):  # OverflowError: an int past the float range
             ordered = False
         if not ordered:
             raise ConfigError("sweep range must be finite numbers with min < max, "
@@ -72,9 +73,10 @@ class SweepSpec:
                               f"for {self.steps} distinct steps")
         # every range check on a swept field is an interval, so valid end
         # points make the whole grid valid
+        row_specs = _row_specs(self.params, self.axis)
         for value in (self.vmin, self.vmax):
             try:
-                _row_specs(self.params, self.axis, value)
+                row_specs(value)
             except ValueError as exc:
                 raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 
@@ -86,17 +88,21 @@ class SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> list[tuple[float, LinkResult]]:
     """Evaluate the sweep, one row per grid value, in grid order."""
-    base, axis = spec.params, spec.axis
-    cavity_specs = {attr: getattr(base, attr) for attr in _CAVITY_SPECS}
-    cavity_of = operator.itemgetter(*_CAVITY_SPECS)
-    shared = None
-    if cavity_specs.keys().isdisjoint(_READERS[axis]):  # every row has the base's cavity
-        shared = _cavity_stage(*cavity_specs.values())
+    base, axis, p_in = spec.params, spec.axis, spec.params.p_in
+    row_specs = _row_specs(base, axis)
+    cavity_specs = [getattr(base, attr) for attr in _CAVITY_SPECS]
+    slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS) if attr in _READERS[axis]]
+    shared = None if slots else _cavity_stage(*cavity_specs)  # no row rebuilds a cavity spec
     rows = []
     for value in spec.values():
-        changes = _row_specs(base, axis, value)
-        cavity = shared or _cavity_stage(*cavity_of({**cavity_specs, **changes}))
-        result = (_dark(cavity, changes.get("p_in", base.p_in))
+        changes = row_specs(value)
+        if shared:
+            cavity = shared
+        else:
+            for k, attr in slots:
+                cavity_specs[k] = changes[attr]
+            cavity = _cavity_stage(*cavity_specs)
+        result = (_dark(cavity, changes.get("p_in", p_in))
                   or _lasing_stage(cavity[0], _with_field(base, changes)))
         rows.append((value, result))
     return rows

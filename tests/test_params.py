@@ -124,7 +124,7 @@ def test_row_builder_matches_the_constructor():
     for field in dataclasses.fields(SystemParams):
         name = field.name
         value = OTHER_VALUE[name] if name in OTHER_VALUE else getattr(base, name) * 0.99
-        row = _with_field(base, _row_specs(base, name, value))
+        row = _with_field(base, _row_specs(base, name)(value))
         ref = dataclasses.replace(base, **{name: value})
         assert row == ref and getattr(row, name) == value != getattr(base, name)
         assert pickle.dumps(row) == pickle.dumps(ref), name
@@ -135,16 +135,48 @@ def test_row_builder_matches_the_constructor():
             assert (spec is getattr(base, attr)) is not reads, (name, attr)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError) as built:
-                _row_specs(base, name, bad)
+                _row_specs(base, name)(bad)
             with pytest.raises(ValueError) as constructed:
                 SystemParams(**{name: bad})
             assert str(built.value) == str(constructed.value), (name, bad)
     for name, bad in QUANTUM_LIMIT_BREACHES:  # checks that read two fields
         with pytest.raises(ValueError) as built:
-            _row_specs(base, name, bad)
+            _row_specs(base, name)(bad)
         with pytest.raises(ValueError) as constructed:
             SystemParams(**{name: bad})
         assert str(built.value) == str(constructed.value), (name, bad)
+
+
+# three more valid values, for fields where a fraction of the default is not one
+OTHER_VALUES = {"gamma_diff": (0.7, 0.8, 0.9), "gamma_pd": (0.3, 0.5, 0.7), "n_s": (2, 3, 4),
+                "psi": (0.05, 0.1, 0.15)}
+
+
+def test_row_function_keeps_no_state_between_rows():
+    # One row function serves a whole sweep and writes each value into
+    # argument lists it reuses, so no row may see an earlier row's value: not
+    # after rows in reverse order, nor after a row that was refused.  `t` and
+    # `lam` each feed two specs.
+    base = SystemParams()
+    assert len(_READERS["t"]) == len(_READERS["lam"]) == 2
+    for field in dataclasses.fields(SystemParams):
+        name = field.name
+        row = _row_specs(base, name)
+
+        def check(value):
+            built = _with_field(base, row(value))
+            ref = dataclasses.replace(base, **{name: value})
+            assert getattr(built, name) == value, name
+            for attr in SPECS:
+                assert getattr(built, attr) == getattr(ref, attr), (name, value, attr)
+
+        default = getattr(base, name)
+        values = OTHER_VALUES.get(name) or [default * k for k in (0.97, 0.98, 0.99)]
+        for value in reversed(values):
+            check(value)
+        with pytest.raises(ValueError):
+            row(math.nan)
+        check(values[1])
 
 
 def test_parse_units():

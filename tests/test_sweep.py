@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,19 @@ def test_sweep_spec_validation(monkeypatch):
     for lo, hi in (("1", 2.0), (None, 2.0), (1.0, "2"), (1.0, None)):  # an end that is no number
         with pytest.raises(ConfigError, match="finite numbers"):
             SweepSpec(axis="d", vmin=lo, vmax=hi, steps=3, params=PARAMS)
+    # a Decimal end compares with floats but does not mix with them, and an int
+    # end past the float range has no float grid
+    for lo, hi in ((Decimal("1"), 2.0), (1.0, Decimal("2")), (Decimal("1"), Decimal("2")),
+                   (1, 10**400)):
+        with pytest.raises(ConfigError, match="finite numbers with min < max"):
+            SweepSpec(axis="d", vmin=lo, vmax=hi, steps=3, params=PARAMS)
     ends = SweepSpec(axis="d", vmin=np.float64(1.0), vmax=np.float64(2.0), steps=3,
                      params=PARAMS).values()
     assert ends == [1.0, 1.5, 2.0]
+    floats = run_sweep(SweepSpec(axis="d", vmin=1.0, vmax=2.0, steps=3, params=PARAMS))
+    for lo, hi in ((1, 2), (np.float64(1.0), np.float64(2.0)), (1, 2.0)):
+        rows = run_sweep(SweepSpec(axis="d", vmin=lo, vmax=hi, steps=3, params=PARAMS))
+        assert rows == floats
     for axis, lo, hi in (("r_m2", 0.5, 1.5), ("d", -1.0, 5.0), ("l_s", 0.0, 1e-3)):
         with pytest.raises(ConfigError):  # an end point outside the field's range
             SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=3, params=PARAMS)
@@ -174,6 +185,7 @@ def test_rows_match_points_built_by_replace(axis):
 @pytest.mark.parametrize("axis, lo, hi, steps, lasing", [
     ("d", 12.2, 42.2, 600, False), ("p_in", 0.0, 27.0, 600, False),
     ("p_in", 0.0, 120.0, 61, True), ("d", 0.45, 13.25, 33, True),
+    ("r_m2", 0.5, 0.7, 600, False),
 ])
 def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps, lasing):
     # only a row that lases reads the whole record, so only such a row builds one
@@ -218,6 +230,13 @@ def test_rows_rebuild_only_the_spec_that_reads_the_axis(monkeypatch, axis, rebui
         monkeypatch.setattr(cls, "__post_init__", counting(cls))
     rows = run_sweep(spec)
     assert built == {cls: len(rows) if cls is rebuilt else 0 for cls in SPEC_CLASSES}
+
+
+def test_run_sweep_is_repeatable():
+    # a sweep's row function reuses its argument lists within one run only
+    for axis, (lo, hi) in GRIDS.items():
+        spec = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=PARAMS)
+        assert repr(run_sweep(spec)) == repr(run_sweep(spec)), axis
 
 
 @pytest.mark.parametrize("base", PUMP_BASES, ids=["default", "unstable", "pupil", "0.9"])
