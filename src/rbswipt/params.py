@@ -6,9 +6,10 @@ cell, safety, pump power).  Field names double as config keys.  The spec
 objects of the link stages are built and validated once, when the parameters
 are constructed, and kept as attributes outside the dataclass fields; the
 safety fields are range-checked here and read only by the `--safety` report.
-A sweep row differs from its base in one field, so it rebuilds only the spec
-objects that read that field, with their other arguments taken from the base
-once per sweep, and shares the rest.
+So is a lossless cavity, which has no lasing threshold.  A sweep's end points
+pass through this constructor; a row between them rebuilds only the spec
+objects that read its one field, with their other arguments taken from the
+base once per sweep, and shares the rest.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from .it_channel import ConcentratorSpec, NoiseSpec
 from .optics import CavityGeometry
 from .pv import PVSpec
-from .resonator import GainMediumSpec, LossBudget, SHGSpec
+from .resonator import (GainMediumSpec, LossBudget, SHGSpec, _round_trip,
+                        equivalent_reflectances, resolve_gamma_diff)
 
 
 class ConfigError(ValueError):
@@ -143,6 +145,10 @@ class SystemParams:
             fields[attr] = cls(*[fields[name] for name in names])  # names are in field order
         for name in _LOOSE:
             _check_loose(name, fields[name])
+        # r1*r2 at zero conversion: a lossless cavity has no lasing threshold
+        geom, gain, loss = self.geometry, self.gain, self.loss
+        gamma_diff = resolve_gamma_diff(loss, geom, gain.a_g, gain.lam)
+        _round_trip(*equivalent_reflectances(loss, self.shg, gain, 0.0, geom.d, gamma_diff))
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
@@ -155,16 +161,11 @@ _LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
 def _row_specs(base: SystemParams, name: str):
     """The function a sweep row calls with its value of `name`: it returns the
     fields that value changes, `name` and the specs that read it, each rebuilt
-    by its constructor, which validates the value (a field no spec reads gets
-    its range check).  It reads `base` once, then writes only `name`'s slots."""
-    readers = _READERS[name]
-    if not readers:
-        def row(value):
-            _check_loose(name, value)
-            return {name: value}
-        return row
+    by its constructor, which validates the value; `p_in`, which no spec reads,
+    is bounded by the sweep's end points.  It reads `base` once, then writes
+    only `name`'s slots."""
     builds = []  # (attr, class, argument list, the slot of `name` in it)
-    for attr in readers:
+    for attr in _READERS[name]:
         cls, names = _SPECS[attr]
         builds.append((attr, cls, [getattr(base, f) for f in names], names.index(name)))
 
@@ -192,7 +193,7 @@ def _with_field(base: SystemParams, changes: dict) -> SystemParams:
 _STRING_OK = {"gamma_diff", "gamma_pd"}
 _INT_FIELDS = {"n_s"}
 
-# unit suffix -> SI multiplier (deg is converted, not scaled)
+# unit suffix -> SI multiplier; deg scales by pi/180, as math.radians does
 _UNITS: dict[str, float] = {
     "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
     "m2": 1.0, "cm2": 1e-4, "mm2": 1e-6, "um2": 1e-12,
@@ -202,11 +203,10 @@ _UNITS: dict[str, float] = {
     "Ohm": 1.0, "ohm": 1.0, "mOhm": 1e-3, "kOhm": 1e3, "MOhm": 1e6,
     "K": 1.0,
     "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9,
-    "rad": 1.0, "mrad": 1e-3,
+    "rad": 1.0, "mrad": 1e-3, "deg": math.pi / 180.0,
     "%": 1e-2,
     "A/W": 1.0, "W/m2": 1.0, "W/cm2": 1e4, "m/V": 1.0, "pm/V": 1e-12, "1/m": 1.0,
 }
-_UNITS_DEG = "deg"
 
 # human-readable SI unit hints for --print-defaults comments and the sweep
 # chart's axis label
@@ -231,12 +231,9 @@ def _parse_value(key: str, raw: str, where: str) -> float | int | str:
         raise ConfigError(f"{where}: '{key}' needs a numeric value, got {raw!r}") from None
     if len(tokens) > 1:
         unit = " ".join(tokens[1:])
-        if unit == _UNITS_DEG:
-            number = math.radians(number)
-        elif unit in _UNITS:
-            number *= _UNITS[unit]
-        else:
+        if unit not in _UNITS:
             raise ConfigError(f"{where}: unknown unit {unit!r} for '{key}'")
+        number *= _UNITS[unit]
     if key in _INT_FIELDS:
         if not number.is_integer():
             raise ConfigError(f"{where}: '{key}' must be an integer")

@@ -201,8 +201,6 @@ def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     better point of the pair and adds one, so the pair always holds the best
     point solved so far, concave or not.
     """
-    if i_ph == 0.0:
-        return OperatingPoint(0.0, 0.0, 0.0, 0.0)
     v_oc = open_circuit_voltage(spec, i_ph)  # raises for i_ph < 0
     lo, hi = 0.0, v_oc
     x1 = hi - _GOLDEN * (hi - lo)

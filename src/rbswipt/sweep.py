@@ -1,7 +1,8 @@
 """Parameter sweeps over the link chain, with CSV and SVG emitters.
 
 A sweep varies one configuration field over a uniform grid and evaluates the
-full link at each point, in grid order, one link stage at a time: a row builds
+full link at each point, in grid order, one link stage at a time.
+`SystemParams` checks the end points, which bounds every row.  A row builds
 its parameter record only if it lases, and rebuilds only the specs its value
 feeds (`params._row_specs`).  A field that feeds none of the specs the cavity
 stage reads (today only `p_in`) leaves that stage the same on every row, so
@@ -16,9 +17,9 @@ labelled polylines on a shared abscissa.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
-from dataclasses import dataclass
 
 from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _dark, _lasing_stage
 from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _row_specs, _with_field
@@ -38,11 +39,11 @@ def canonical_axis(name: str) -> str:
     return axis
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional sweep: `axis` varied over [vmin, vmax] in `steps` distinct
-    points.  A range too narrow for that, whose grid would repeat a value, is a
-    ConfigError."""
+    points.  A range too narrow for that, whose grid would repeat a value, or an
+    end point that `SystemParams` refuses, is a ConfigError."""
 
     axis: str
     vmin: float
@@ -71,12 +72,12 @@ class SweepSpec:
         if any(a >= b for a, b in zip(values, values[1:])):  # rows would repeat a point
             raise ConfigError(f"sweep range [{self.vmin!r}, {self.vmax!r}] is too narrow "
                               f"for {self.steps} distinct steps")
-        # every range check on a swept field is an interval, so valid end
-        # points make the whole grid valid
-        row_specs = _row_specs(self.params, self.axis)
+        # each end is checked as its row's record; every check holds on an
+        # interval of the swept field, and r1*r2 at zero conversion does not
+        # rise with d and rises with r_m2, so valid ends make the grid valid
         for value in (self.vmin, self.vmax):
             try:
-                row_specs(value)
+                dataclasses.replace(self.params, **{self.axis: value})
             except ValueError as exc:
                 raise ConfigError(f"sweep end point {self.axis} = {value!r}: {exc}") from None
 

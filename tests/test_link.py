@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rbswipt.cli import main
 from rbswipt.link import LinkResult, _cavity_stage, evaluate_link
 from rbswipt.params import SystemParams
 
@@ -38,14 +39,20 @@ def test_below_threshold_is_dark():
     assert r.p_recv_pt == r.p_recv_it == r.p_hat_charge == r.r_b == 0.0
 
 
-def test_lossless_cavity_is_an_error_not_dark():
-    # r1*r2 = 1 has no threshold: no pump, not even 0 W, is below it
-    lossless = dataclasses.replace(DEFAULT, gamma_g=1.0, gamma_shg=1.0, gamma_l1=1.0,
-                                   gamma_l2=1.0, r_m1=1.0, r_m2=1.0, alpha_air=0.0,
-                                   gamma_diff=1.0)
-    for p_in in (0.0, 60.0):
+LOSSLESS = dict(gamma_g=1.0, gamma_shg=1.0, gamma_l1=1.0, gamma_l2=1.0, r_m1=1.0,
+                r_m2=1.0, alpha_air=0.0, gamma_diff=1.0)
+
+
+def test_lossless_cavity_is_an_error_not_dark(tmp_path, capsys):
+    # r1*r2 = 1 has no threshold: no pump, not even 0 W, is below it, so the
+    # record is refused when it is built, stable (6 m) or not (13 m)
+    for change in ({"p_in": 0.0}, {"p_in": 60.0}, {"d": 13.0}):
         with pytest.raises(ValueError, match="lossless cavity"):
-            evaluate_link(dataclasses.replace(lossless, p_in=p_in))
+            SystemParams(**LOSSLESS, **change)
+    cfg = tmp_path / "lossless.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in LOSSLESS.items()), encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 2
+    assert "configuration error: lossless cavity" in capsys.readouterr().err
 
 
 def test_opaque_cavity_is_dark():

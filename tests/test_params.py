@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import random
 
 import pytest
 
@@ -133,6 +134,8 @@ def test_row_builder_matches_the_constructor():
             assert spec == getattr(ref, attr), (name, attr)
             reads = name in {f.name for f in dataclasses.fields(spec)}
             assert (spec is getattr(base, attr)) is not reads, (name, attr)
+        if not _READERS[name]:  # passed through: a sweep checks its end points
+            continue
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError) as built:
                 _row_specs(base, name)(bad)
@@ -174,8 +177,9 @@ def test_row_function_keeps_no_state_between_rows():
         values = OTHER_VALUES.get(name) or [default * k for k in (0.97, 0.98, 0.99)]
         for value in reversed(values):
             check(value)
-        with pytest.raises(ValueError):
-            row(math.nan)
+        if _READERS[name]:  # a field no spec reads is not checked by the row
+            with pytest.raises(ValueError):
+                row(math.nan)
         check(values[1])
 
 
@@ -212,6 +216,17 @@ def test_parse_units():
     assert math.isclose(got["a_pd"], 1.6e-7, rel_tol=1e-15)
     assert got["alpha_air"] == 1e-4
     assert got["d"] == 6.0
+
+
+def test_parse_degrees_as_math_radians():
+    # deg is a plain multiplier, pi/180, the constant math.radians multiplies by
+    rng = random.Random(7)
+    spread = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, 30.0, -90.0, 180.0, 360.0, 1e308,
+              -1e308, math.inf, math.nan]
+    spread += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308) for _ in range(2000)]
+    for x in spread:
+        got = parse_config_text(f"psi_c = {x!r} deg")["psi_c"]
+        assert got.hex() == math.radians(x).hex(), x
 
 
 def test_parse_strings_and_integers():

@@ -169,7 +169,10 @@ def test_mppt_reference_point():
     assert math.isclose(op.v_charge, 0.4214061931932813, rel_tol=1e-9)
     assert math.isclose(op.p_charge, 1.2175157295037338, rel_tol=1e-12)
     assert max(kirchhoff_residuals(SPEC, I_PH, op)) < 1e-12
-    assert mppt(SPEC, 0.0).p_charge == 0.0
+    for zero in (0.0, -0.0):  # a dark cell: the search runs on the bracket [0, 0]
+        dark = mppt(SPEC, zero)
+        assert all(math.copysign(1.0, x) == 1.0 and x == 0.0
+                   for x in dataclasses.astuple(dark)), (zero, dark)
     with pytest.raises(ValueError, match="i_ph must be non-negative"):
         mppt(SPEC, -1.0)
 

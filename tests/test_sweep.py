@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rbswipt import link
+from rbswipt import params as params_module
 from rbswipt import sweep as sweep_module
 from rbswipt.cli import main
 from rbswipt.it_channel import ConcentratorSpec, NoiseSpec
@@ -281,13 +282,87 @@ def test_gap_sweep_checks_each_row_cavity(monkeypatch):
     assert seen == {"optics.stability_check": len(rows)}
 
 
-def test_pump_sweep_of_lossless_cavity_is_an_error():
-    lossless = dataclasses.replace(PARAMS, gamma_g=1.0, gamma_shg=1.0, gamma_l1=1.0,
-                                   gamma_l2=1.0, r_m1=1.0, r_m2=1.0, alpha_air=0.0,
-                                   gamma_diff=1.0)
-    spec = SweepSpec(axis="p_in", vmin=0.0, vmax=60.0, steps=4, params=lossless)
+LOSSLESS = dict(gamma_g=1.0, gamma_shg=1.0, gamma_l1=1.0, gamma_l2=1.0, r_m1=1.0,
+                r_m2=1.0, alpha_air=0.0, gamma_diff=1.0)
+
+
+def _write_config(path, values):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    return str(path)
+
+
+def test_pump_sweep_of_lossless_cavity_is_an_error(tmp_path, capsys):
+    # the base of such a sweep is refused when it is built
     with pytest.raises(ValueError, match="lossless cavity"):
-        run_sweep(spec)
+        dataclasses.replace(PARAMS, **LOSSLESS)
+    cfg = _write_config(tmp_path / "lossless.cfg", LOSSLESS)
+    assert main(["--config", cfg, "--sweep", "p_in:0:60:4"]) == 2
+    assert "configuration error: lossless cavity" in capsys.readouterr().err
+
+
+def test_lossless_row_is_refused_at_an_end_point(tmp_path, capsys, monkeypatch):
+    # r1*r2 at zero conversion does not rise with d and rises with r_m2, so
+    # a sweep that reaches a lossless cavity has one at an end point, refused
+    # before any row runs
+    near = SystemParams(**dict(LOSSLESS, r_m2=0.9))
+    with pytest.raises(ConfigError, match="^sweep end point r_m2 = 1.0: lossless cavity"):
+        SweepSpec(axis="r_m2", vmin=0.5, vmax=1.0, steps=5, params=near)
+    # with the far-field model the diffraction factor rounds to 1 at a short gap
+    farfield = {k: v for k, v in LOSSLESS.items() if k != "gamma_diff"}
+    base = SystemParams(**farfield)
+    with pytest.raises(ConfigError, match="^sweep end point d = 0.0001: lossless cavity"):
+        SweepSpec(axis="d", vmin=0.0001, vmax=1.0, steps=5, params=base)
+    assert evaluate_link(base).status == "ok"  # the 6 m gap itself loses power
+
+    def no_rows(spec):
+        raise AssertionError("a sweep with a lossless end point ran its rows")
+
+    monkeypatch.setattr("rbswipt.cli.run_sweep", no_rows)
+    cfg = _write_config(tmp_path / "farfield.cfg", farfield)
+    assert main(["--config", cfg, "--sweep", "d:0.0001:1:5"]) == 2
+    assert "sweep end point d = 0.0001: lossless cavity" in capsys.readouterr().err
+
+
+# out-of-range values of each axis, each paired with the base's own value
+BAD_ENDS = {
+    "d": (-1.0, -1e-300, -5e-324),
+    "p_in": (-60.0, -1e-300, -5e-324),
+    "r_m2": (0.0, -0.5, 1.0000000000000002, 1.5, 1e300),
+    "l_s": (0.0, -1e-3, -5e-324, 1e160, 1e300),
+}
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_end_point_refusal_is_the_constructor_message(axis):
+    # SweepSpec checks an end point as the record its row stands for, so its
+    # refusal carries exactly the message SystemParams gives that value
+    assert set(BAD_ENDS) == set(AXES)
+    good = getattr(PARAMS, axis)
+    for bad in BAD_ENDS[axis]:
+        with pytest.raises(ValueError) as constructed:
+            SystemParams(**{axis: bad})
+        lo, hi = sorted((bad, good))
+        with pytest.raises(ConfigError) as refused:
+            SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=3, params=PARAMS)
+        assert str(refused.value) == f"sweep end point {axis} = {bad!r}: {constructed.value}"
+
+
+def test_pump_sweep_rows_check_no_loose_field(monkeypatch):
+    # no spec reads p_in: its end points went through SystemParams and its
+    # range is an interval, so a row needs no check of its own
+    checked = []
+    check_loose = params_module._check_loose
+
+    def counting(name, value):
+        checked.append(name)
+        check_loose(name, value)
+
+    monkeypatch.setattr(params_module, "_check_loose", counting)
+    spec = SweepSpec(axis="p_in", vmin=0.0, vmax=27.0, steps=600, params=PARAMS)
+    assert checked.count("p_in") == 2  # the two end points, built by SystemParams
+    checked.clear()
+    rows = run_sweep(spec)
+    assert len(rows) == 600 and checked == []
 
 
 # ------------------------------------------------------------------- emitters
