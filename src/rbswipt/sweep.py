@@ -12,7 +12,7 @@ the sweep runs it once, on the base.  The CSV layout is fixed:
 
 with floats written at full double precision (%.17g), LF line endings, UTF-8.
 The SVG emitter draws the two headline curves (charging power, rate) as
-labelled polylines on a shared abscissa.
+labelled polylines on a shared abscissa.  Both write their file in place.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import os
+import stat
 
 from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _dark, _lasing_stage
 from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _row_specs, _with_field
@@ -109,8 +111,18 @@ def run_sweep(spec: SweepSpec) -> list[tuple[float, LinkResult]]:
     return rows
 
 
+def _write(path: str, text: str) -> None:
+    """Write `text` over the file's old bytes, then cut a regular file (not a FIFO
+    or a device) to length: an O_TRUNC open forces a writeback on close on ext4."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
+              "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:
-    """Write sweep rows as CSV.  Refuses to create a file for an empty sweep."""
+    """Write sweep rows as CSV, in place.  Refuses to create a file for an empty sweep."""
     if not rows:
         raise ValueError("no sweep rows to write")
     lines = [CSV_HEADER]
@@ -123,8 +135,7 @@ def emit_csv(rows: list[tuple[float, LinkResult]], path: str) -> None:
                                    f"{r.p_hat_charge:.17g},{r.r_b:.17g},"
                                    f"{r.eta_shg:.17g},{r.status}")
         lines.append(f"{value:.17g}{tail}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 _SVG_W, _SVG_H = 800, 500
@@ -154,7 +165,7 @@ def _polyline(xs_px: list[str], ys: list[float], to_px, color: str) -> str:
 
 def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
                    axis: str = "axis") -> None:
-    """Write the charging-power and rate curves as a two-series SVG chart."""
+    """Write the charging-power and rate curves as a two-series SVG chart, in place."""
     if not rows:
         raise ValueError("no sweep rows to plot")
     xs = [v for v, _ in rows]
@@ -202,5 +213,4 @@ def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
     parts.append(f'<text x="{x_hi}" y="{_MARGIN_T - 12}" font-size="14" '
                  f'text-anchor="end" fill="#d62728">R_b [bit/s/Hz]</text>')
     parts.append('</svg>')
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, "\n".join(parts) + "\n")

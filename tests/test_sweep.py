@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from pathlib import Path
@@ -484,6 +485,44 @@ def test_writers_match_row_at_a_time_reference(tmp_path, results):
     assert (tmp_path / "out.svg").read_bytes() == _reference_svg(rows, "p_in")
 
 
+_EMITTERS = {"csv": emit_csv, "svg": lambda rows, path: emit_plot_data(rows, path, axis="d")}
+
+
+@pytest.mark.parametrize("kind", sorted(_EMITTERS))
+def test_rewriting_a_file_gives_the_fresh_bytes(tmp_path, kind):
+    # a file is written in place, so a shorter write must cut off the old tail
+    emit = _EMITTERS[kind]
+    short = small_sweep()[:3]
+    long = run_sweep(SweepSpec(axis="d", vmin=12.2, vmax=42.2, steps=2001, params=PARAMS))
+    emit(short, str(tmp_path / "short"))
+    emit(long, str(tmp_path / "long"))
+    target = str(tmp_path / "target")
+    for rows, fresh in ((short, "short"), (long, "long"), (short, "short")):
+        emit(rows, target)  # new, then longer, then shorter than the file it finds
+        assert (tmp_path / "target").read_bytes() == (tmp_path / fresh).read_bytes()
+    assert len((tmp_path / "long").read_bytes()) > 10 * len((tmp_path / "short").read_bytes())
+
+
+def test_emitters_open_without_truncation(tmp_path, monkeypatch):
+    # an open with O_TRUNC makes ext4 write the file back when it is closed,
+    # on every rerun onto the same paths; the benchmark's sweeps measure this
+    flags = []
+    real_open = sweep_module.os.open
+
+    def spy(path, flag, *args, **kwargs):
+        if str(path).startswith(str(tmp_path)):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module.os, "open", spy)
+    rows = small_sweep()
+    for kind, emit in _EMITTERS.items():
+        emit(rows, str(tmp_path / kind))
+        emit(rows, str(tmp_path / kind))  # and over an existing file
+    assert len(flags) == 4
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+
 # ------------------------------------------------------------------------ CLI
 
 
@@ -523,6 +562,31 @@ def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert code == 0
     assert csv_path.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
     ET.parse(str(svg_path))
+
+
+def test_cli_csv_and_svg_to_one_path_leave_the_svg(tmp_path, capsys):
+    both, svg = tmp_path / "both", tmp_path / "fresh.svg"
+    both.write_bytes(b"x" * 100_000)  # longer than either file
+    assert main(["--sweep", "d:4:8:5", "--csv", str(both), "--svg", str(both)]) == 0
+    assert main(["--sweep", "d:4:8:5", "--svg", str(svg)]) == 0
+    assert both.read_bytes() == svg.read_bytes()
+
+
+def test_cli_writes_to_targets_that_are_not_regular_files(tmp_path, capsys):
+    # a device or a FIFO cannot be cut to length, and is not
+    assert main(["--sweep", "d:1:2:3", "--csv", os.devnull, "--svg", os.devnull]) == 0
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    fifo, fresh = tmp_path / "fifo", tmp_path / "fresh.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["--sweep", "d:1:2:3", "--csv", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert main(["--sweep", "d:1:2:3", "--csv", str(fresh)]) == 0
+    assert received == [fresh.read_bytes()]
 
 
 def test_cli_sweep_table_to_stdout(capsys):
@@ -638,9 +702,15 @@ def test_cli_safety_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, v
         assert out == ""  # nothing of the report is printed before the refusal
 
 
-def test_cli_unwritable_output_exits_2(tmp_path):
-    assert main(["--sweep", "d:4:8:3", "--csv",
-                 str(tmp_path / "no" / "dir" / "out.csv")]) == 2
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    for flag, target in (("--csv", tmp_path / "no" / "dir" / "out.csv"),  # no such directory
+                         ("--svg", tmp_path)):  # a directory
+        capsys.readouterr()
+        assert main(["--sweep", "d:4:8:3", flag, str(target)]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(target) in err, err
+        assert "Traceback" not in err
+    assert not (tmp_path / "no").exists()
 
 
 def test_cli_solver_failure_exits_3(monkeypatch, capsys):
