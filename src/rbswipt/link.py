@@ -1,16 +1,18 @@
 """End-to-end link evaluation: pump power in, charging power and rate out.
 
-`evaluate_link` composes three stages.  The cavity stage, `_cavity_stage`,
-reads only the geometry, gain, loss and crystal specs (`_CAVITY_SPECS`):
+`evaluate_link` composes two stages with one comparison between them.  The
+cavity stage, `_cavity_stage`, reads only the geometry, gain, loss and crystal
+specs (`_CAVITY_SPECS`):
 
 1. cavity stability (an unstable or marginal cavity is dark);
 2. the diffraction factor and the equivalent reflectances at eta = 0;
 3. the lasing threshold at eta = 0.
 
-It returns the dark result of an unstable cavity, or (gamma_diff, threshold).
-`_dark` then makes the one dark decision from that result and the pump (stage
-4, the threshold comparison).  Only a point that lases reaches `_lasing_stage`,
-which reads the whole parameter record:
+It returns (dark result, gamma_diff, threshold) for every cavity, with an
+infinite threshold for an unstable one, as for an opaque one.  Stage 4, the one
+dark decision, is a comparison: a point is dark exactly when its pump is at
+most the threshold.  Only a point that lases reaches `_lasing_stage`, which
+reads the whole parameter record:
 
 5. the cavity mode, solved once, its radius w0 at the doubling crystal, and
    the intracavity powers with frequency doubling;
@@ -20,8 +22,11 @@ which reads the whole parameter record:
    whose capture reads the same mode's spot, and the achievable rate.
 
 The threshold comes before the mode because it does not depend on w0: a dark
-point pays only for the tests that make it dark.  A sweep composes the three
-stages itself (see `sweep`), so that a dark row needs no parameter record.
+point pays only for the tests that make it dark.  `evaluate_rows` runs the
+same stages over the rows of a one-field sweep: a row rebuilds only the specs
+its value feeds (`params._row_specs`), a field that feeds no cavity spec
+(today only `p_in`) shares the base's cavity stage, and only a row that lases
+builds its parameter record.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import it_channel, optics, pv, resonator
-from .params import SystemParams
+from .params import _READERS, SystemParams, _row_specs, _with_field
 
 
 @dataclass(frozen=True)
@@ -59,24 +64,17 @@ _CAVITY_SPECS = ("geometry", "gain", "loss", "shg")
 
 def _cavity_stage(geometry: optics.CavityGeometry, gain: resonator.GainMediumSpec,
                   loss: resonator.LossBudget,
-                  shg: resonator.SHGSpec) -> LinkResult | tuple[float, float]:
-    """Stages 1-3: the dark result of an unstable cavity, else the resolved
-    diffraction factor and the threshold pump."""
+                  shg: resonator.SHGSpec) -> tuple[LinkResult, float, float]:
+    """Stages 1-3: the dark result, the resolved diffraction factor and the
+    threshold pump; a point is dark exactly when its pump is at most the
+    threshold, which is infinite for an unstable cavity."""
     # a marginal cavity confines no Gaussian mode either, so it is dark too
     if optics.stability_check(geometry) != "stable":
-        return _UNSTABLE
+        return _UNSTABLE, math.nan, math.inf
 
     gamma_diff = resonator.resolve_gamma_diff(loss, geometry, gain.a_g, gain.lam)
     r1, r2 = resonator.equivalent_reflectances(loss, shg, gain, 0.0, geometry.d, gamma_diff)
-    return gamma_diff, resonator.lasing_threshold(gain, r1, r2)
-
-
-def _dark(cavity: LinkResult | tuple[float, float], p_in: float) -> LinkResult | None:
-    """Stage 4, the one dark decision: the shared dark result of the cavity
-    stage's result `cavity` pumped with `p_in`, or None if it lases."""
-    if isinstance(cavity, LinkResult):
-        return cavity
-    return _BELOW_THRESHOLD if p_in <= cavity[1] else None
+    return _BELOW_THRESHOLD, gamma_diff, resonator.lasing_threshold(gain, r1, r2)
 
 
 def _lasing_stage(gamma_diff: float, params: SystemParams) -> LinkResult:
@@ -118,5 +116,26 @@ def _lasing_stage(gamma_diff: float, params: SystemParams) -> LinkResult:
 
 def evaluate_link(params: SystemParams) -> LinkResult:
     """Evaluate the full transfer chain for one configuration."""
-    cavity = _cavity_stage(params.geometry, params.gain, params.loss, params.shg)
-    return _dark(cavity, params.p_in) or _lasing_stage(cavity[0], params)
+    dark, gamma_diff, threshold = _cavity_stage(params.geometry, params.gain,
+                                                params.loss, params.shg)
+    return dark if params.p_in <= threshold else _lasing_stage(gamma_diff, params)
+
+
+def evaluate_rows(base: SystemParams, name: str, values) -> list[LinkResult]:
+    """`evaluate_link` of `base` with field `name` set to each of `values`, in
+    order.  A row's spec constructors check its value; `p_in`, which no spec
+    reads, is passed as it is, so the caller bounds it."""
+    row_specs = _row_specs(base, name)
+    specs = [getattr(base, attr) for attr in _CAVITY_SPECS]
+    slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS) if attr in _READERS[name]]
+    shared = None if slots else _cavity_stage(*specs)  # no row rebuilds a cavity spec
+    p_in = base.p_in
+    results = []
+    for value in values:
+        changes = row_specs(value)
+        for k, attr in slots:
+            specs[k] = changes[attr]
+        dark, gamma_diff, threshold = shared or _cavity_stage(*specs)
+        results.append(dark if changes.get("p_in", p_in) <= threshold
+                       else _lasing_stage(gamma_diff, _with_field(base, changes)))
+    return results

@@ -7,9 +7,10 @@ objects of the link stages are built and validated once, when the parameters
 are constructed, and kept as attributes outside the dataclass fields; the
 safety fields are range-checked here and read only by the `--safety` report.
 So is a lossless cavity, which has no lasing threshold.  A sweep's end points
-pass through this constructor; a row between them rebuilds only the spec
-objects that read its one field, with their other arguments taken from the
-base once per sweep, and shares the rest.
+pass through this constructor; for a row between them, `_row_specs` and
+`_with_field` serve `link.evaluate_rows`: a row rebuilds only the spec objects
+that read its one field, with their other arguments taken from the base once
+per sweep, and shares the rest.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -159,11 +160,11 @@ _LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
 
 
 def _row_specs(base: SystemParams, name: str):
-    """The function a sweep row calls with its value of `name`: it returns the
-    fields that value changes, `name` and the specs that read it, each rebuilt
-    by its constructor, which validates the value; `p_in`, which no spec reads,
-    is bounded by the sweep's end points.  It reads `base` once, then writes
-    only `name`'s slots."""
+    """The function `link.evaluate_rows` calls with a row's value of `name`: it
+    returns the fields that value changes, `name` and the specs that read it,
+    each rebuilt by its constructor, which validates the value; `p_in`, which
+    no spec reads, is bounded by the sweep's end points.  It reads `base` once,
+    then writes only `name`'s slots."""
     builds = []  # (attr, class, argument list, the slot of `name` in it)
     for attr in _READERS[name]:
         cls, names = _SPECS[attr]
@@ -181,8 +182,8 @@ def _row_specs(base: SystemParams, name: str):
 def _with_field(base: SystemParams, changes: dict) -> SystemParams:
     """`base` with the entries `changes` of a `_row_specs` row: the record
     `dataclasses.replace` gives, built without re-running the other 47 fields'
-    checks.  Every other spec object is the base's own.  A sweep builds this
-    record only for a row that lases."""
+    checks.  Every other spec object is the base's own.  `link.evaluate_rows`
+    builds this record only for a row that lases."""
     row = object.__new__(SystemParams)
     fields = vars(row)
     fields.update(vars(base))

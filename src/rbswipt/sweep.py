@@ -1,12 +1,8 @@
 """Parameter sweeps over the link chain, with CSV and SVG emitters.
 
 A sweep varies one configuration field over a uniform grid and evaluates the
-full link at each point, in grid order, one link stage at a time.
-`SystemParams` checks the end points, which bounds every row.  A row builds
-its parameter record only if it lases, and rebuilds only the specs its value
-feeds (`params._row_specs`).  A field that feeds none of the specs the cavity
-stage reads (today only `p_in`) leaves that stage the same on every row, so
-the sweep runs it once, on the base.  The CSV layout is fixed:
+full link at each point, in grid order (`link.evaluate_rows`).  `SystemParams`
+checks the end points, which bounds every row.  The CSV layout is fixed:
 
     axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status
 
@@ -23,8 +19,8 @@ import operator
 import os
 import stat
 
-from .link import _CAVITY_SPECS, LinkResult, _cavity_stage, _dark, _lasing_stage
-from .params import _READERS, _UNIT_HINT, ConfigError, SystemParams, _row_specs, _with_field
+from .link import LinkResult, evaluate_rows
+from .params import _UNIT_HINT, ConfigError, SystemParams
 
 AXES = ("d", "p_in", "r_m2", "l_s")
 
@@ -91,24 +87,8 @@ class SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> list[tuple[float, LinkResult]]:
     """Evaluate the sweep, one row per grid value, in grid order."""
-    base, axis, p_in = spec.params, spec.axis, spec.params.p_in
-    row_specs = _row_specs(base, axis)
-    cavity_specs = [getattr(base, attr) for attr in _CAVITY_SPECS]
-    slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS) if attr in _READERS[axis]]
-    shared = None if slots else _cavity_stage(*cavity_specs)  # no row rebuilds a cavity spec
-    rows = []
-    for value in spec.values():
-        changes = row_specs(value)
-        if shared:
-            cavity = shared
-        else:
-            for k, attr in slots:
-                cavity_specs[k] = changes[attr]
-            cavity = _cavity_stage(*cavity_specs)
-        result = (_dark(cavity, changes.get("p_in", p_in))
-                  or _lasing_stage(cavity[0], _with_field(base, changes)))
-        rows.append((value, result))
-    return rows
+    values = spec.values()
+    return list(zip(values, evaluate_rows(spec.params, spec.axis, values)))
 
 
 def _write(path: str, text: str) -> None:

@@ -162,7 +162,7 @@ def test_mppt_just_above_threshold(monkeypatch):
         import oracle
     finally:
         sys.path.pop(0)
-    _, threshold = _cavity_stage(DEFAULT.geometry, DEFAULT.gain, DEFAULT.loss, DEFAULT.shg)
+    _, _, threshold = _cavity_stage(DEFAULT.geometry, DEFAULT.gain, DEFAULT.loss, DEFAULT.shg)
     near = dataclasses.replace(DEFAULT, p_in=threshold * (1.0 + 1e-9))
     names = ["pv._diode_current"]
     r, seen = count_calls(monkeypatch, names, near)

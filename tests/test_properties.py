@@ -19,7 +19,9 @@ independent model of the whole chain in `bench/oracle.py`, over the doubling
 box widened with the loss factors.
 
 `test_sweep_grid_is_the_numpy_grid` checks the sweep grid against
-`numpy.linspace` over random valid specs on every axis.
+`numpy.linspace` over random valid specs on every axis, and
+`test_sweep_rows_are_whole_evaluations` checks each row of a short sweep
+across the design box against `evaluate_link` of its point.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ from rbswipt.link import evaluate_link  # noqa: E402
 from rbswipt.params import ConfigError, SystemParams  # noqa: E402
 from rbswipt.pv import (PVSpec, open_circuit_voltage, photo_current,  # noqa: E402
                         solve_operating_point)
-from rbswipt.sweep import SweepSpec  # noqa: E402
+from rbswipt.sweep import AXES, SweepSpec, run_sweep  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore:doubling efficiency")
 
@@ -48,10 +50,14 @@ DARK = ("unstable", "below_threshold")
 NUMERIC = ("p_recv_pt", "p_recv_it", "p_hat_charge", "r_b", "v_mpp", "eta_shg")
 
 
+# the box's range of each sweep axis
+BOX_AXES = {"d": st.floats(0.0, 13.0), "p_in": st.floats(0.0, 200.0),
+            "r_m2": st.floats(0.5, 1.0, exclude_max=True),
+            "l_s": st.floats(0.05e-3, 6e-3)}
+
+
 def box(d_eff, **wider):
-    fields = {"d": st.floats(0.0, 13.0), "p_in": st.floats(0.0, 200.0),
-              "r_m2": st.floats(0.5, 1.0, exclude_max=True),
-              "l_s": st.floats(0.05e-3, 6e-3), "d_eff": d_eff, **wider}
+    fields = {**BOX_AXES, "d_eff": d_eff, **wider}
     return st.builds(lambda **o: dataclasses.replace(BASE, **o), **fields)
 
 
@@ -228,3 +234,21 @@ def test_sweep_grid_is_the_numpy_grid(ends, steps):
         return
     assert len(set(expected)) == steps
     assert [v.hex() for v in spec.values()] == [v.hex() for v in expected]
+
+
+@checked
+@given(design_box, st.sampled_from(AXES).flatmap(
+    lambda axis: st.tuples(st.just(axis), BOX_AXES[axis], BOX_AXES[axis])),
+    st.integers(2, 5))
+def test_sweep_rows_are_whole_evaluations(base, ends, steps):
+    # random bases reach marginal gaps near d = 0, the stability limit and
+    # the threshold, where a row's shared or rebuilt cavity stage decides
+    axis, lo, hi = ends
+    try:
+        spec = SweepSpec(axis=axis, vmin=min(lo, hi), vmax=max(lo, hi), steps=steps,
+                         params=base)
+    except ConfigError:
+        reject()
+    for value, result in run_sweep(spec):
+        point = dataclasses.replace(base, **{axis: value})
+        assert repr(result) == repr(evaluate_link(point)), (axis, value)

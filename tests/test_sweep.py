@@ -166,10 +166,12 @@ def test_crystal_length_sweep_lases_throughout():
 GRIDS = {"d": (0.45, 13.25), "p_in": (0.0, 120.0), "r_m2": (0.5, 1.0),
          "l_s": (0.0001, 0.006)}
 
-# lasing, unstable, mostly dark, lasing; the third base's factor is the capture
-# of the multimode radius at the receiving pupil, 6 m out, with lens 1 at f
+# lasing, unstable, mostly dark, lasing, opaque; the third base's factor is the
+# capture of the multimode radius at the receiving pupil, 6 m out, with lens 1
+# at f; the last one's air loss underflows r2 to 0, so its threshold is inf
 PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
-              SystemParams(gamma_diff=0.6321113620724551), SystemParams(gamma_diff=0.9)]
+              SystemParams(gamma_diff=0.6321113620724551), SystemParams(gamma_diff=0.9),
+              SystemParams(alpha_air=1000.0)]
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -192,13 +194,13 @@ def test_rows_match_points_built_by_replace(axis):
 def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps, lasing):
     # only a row that lases reads the whole record, so only such a row builds one
     built = []
-    with_field = sweep_module._with_field
+    with_field = link._with_field
 
     def counting(base, changes):
         built.append(changes[axis])
         return with_field(base, changes)
 
-    monkeypatch.setattr(sweep_module, "_with_field", counting)
+    monkeypatch.setattr(link, "_with_field", counting)
     rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=PARAMS))
     ok = [value for value, r in rows if r.status == "ok"]
     assert built == ok
@@ -241,7 +243,8 @@ def test_run_sweep_is_repeatable():
         assert repr(run_sweep(spec)) == repr(run_sweep(spec)), axis
 
 
-@pytest.mark.parametrize("base", PUMP_BASES, ids=["default", "unstable", "pupil", "0.9"])
+@pytest.mark.parametrize("base", PUMP_BASES,
+                         ids=["default", "unstable", "pupil", "0.9", "opaque"])
 @pytest.mark.parametrize("lo, hi, steps", [(0.0, 120.0, 25), (31.0, 33.0, 21)])
 def test_pump_sweep_rows_equal_whole_evaluations(base, lo, hi, steps):
     # a pump sweep shares one cavity stage; every row is still the whole
@@ -249,6 +252,18 @@ def test_pump_sweep_rows_equal_whole_evaluations(base, lo, hi, steps):
     spec = SweepSpec(axis="p_in", vmin=lo, vmax=hi, steps=steps, params=base)
     expected = [repr(evaluate_link(dataclasses.replace(base, p_in=v))) for v in spec.values()]
     assert [repr(r) for _, r in run_sweep(spec)] == expected
+
+
+@pytest.mark.parametrize("base, status", [(PUMP_BASES[1], "unstable"),
+                                          (PUMP_BASES[4], "below_threshold")])
+def test_infinite_threshold_lases_at_no_finite_pump(base, status):
+    # an unstable cavity's threshold is inf, as an opaque one's is, so the one
+    # comparison keeps every finite pump dark, 1e300 W included
+    spec = SweepSpec(axis="p_in", vmin=0.0, vmax=1e300, steps=5, params=base)
+    rows = run_sweep(spec)
+    assert [r.status for _, r in rows] == [status] * 5
+    for value, result in rows:
+        assert repr(result) == repr(evaluate_link(dataclasses.replace(base, p_in=value)))
 
 
 def _count_calls(monkeypatch, names):
