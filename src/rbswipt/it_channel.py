@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import E_CHARGE, K_BOLTZMANN
+from .resonator import LossBudget
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,34 @@ class NoiseSpec:
                              "must be positive")
 
 
+@dataclass(frozen=True)
+class CarrierPath:
+    """Factors of the doubled carrier's path to the photodiode that the
+    cavity does not share, from the detector back: the capture ratio gamma_pd
+    (a number, or 'auto' for the concentrator capture model), lens L4, the
+    dichroic reflectivity r_m5_2nu, the output mirror transmittance
+    gamma_m2_2nu and the gain-body + modulator transmittance gamma_g_eom, all
+    at the doubled frequency."""
+
+    gamma_pd: float | str
+    gamma_l4: float
+    r_m5_2nu: float
+    gamma_m2_2nu: float
+    gamma_g_eom: float
+
+    def __post_init__(self) -> None:
+        v = self.gamma_pd
+        if isinstance(v, str):
+            if v != "auto":
+                raise ValueError(f"gamma_pd must be a number or 'auto', got {v!r}")
+        elif not 0.0 < float(v) <= 1.0:
+            raise ValueError(f"gamma_pd must be in (0, 1], got {v}")
+        for name in ("gamma_l4", "r_m5_2nu", "gamma_m2_2nu", "gamma_g_eom"):
+            v = getattr(self, name)
+            if not 0.0 < v <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {v}")
+
+
 def concentrator_gain(spec: ConcentratorSpec) -> float:
     """Optical gain n_c^2/sin^2(psi_c) inside the field of view, else 0."""
     if spec.psi > spec.psi_c:
@@ -88,37 +117,21 @@ def pd_capture_ratio(a_eff: float, a_o: float) -> float:
     return min(a_eff / a_o, 1.0)
 
 
-def received_it_power(
-    p_c: float,
-    gamma_pd: float,
-    gamma_l4: float,
-    r_m5_2nu: float,
-    gamma_m2_2nu: float,
-    gamma_l2: float,
-    gamma_air: float,
-    gamma_g_eom: float,
-    gamma_l1: float,
-) -> float:
+def received_it_power(p_c: float, gamma_pd: float, path: CarrierPath, loss: LossBudget,
+                      gamma_air: float) -> float:
     """Carrier power reaching the photodiode through the doubled-frequency chain.
 
     Factors, in beam order from the crystal: modulator/gain-body transmittance
-    gamma_g_eom, lens L1, output mirror transmittance at the doubled frequency
-    gamma_m2_2nu, lens L2, air, dichroic reflectivity r_m5_2nu, lens L4, and
-    the capture ratio gamma_pd at the detector.
+    path.gamma_g_eom, lens L1 (loss.gamma_l1), output mirror transmittance at
+    the doubled frequency path.gamma_m2_2nu, lens L2 (loss.gamma_l2), air,
+    dichroic reflectivity path.r_m5_2nu, lens L4 (path.gamma_l4), and the
+    capture ratio gamma_pd at the detector, which `path.gamma_pd` gives or,
+    when it is 'auto', the concentrator capture model.
     """
     if p_c < 0.0:
         raise ValueError("p_c must be non-negative")
-    return (
-        gamma_pd
-        * gamma_l4
-        * r_m5_2nu
-        * gamma_m2_2nu
-        * gamma_l2
-        * gamma_air
-        * gamma_g_eom
-        * gamma_l1
-        * p_c
-    )
+    return (gamma_pd * path.gamma_l4 * path.r_m5_2nu * path.gamma_m2_2nu * loss.gamma_l2
+            * gamma_air * path.gamma_g_eom * loss.gamma_l1 * p_c)
 
 
 def noise_variance(spec: NoiseSpec, p_recv_it: float) -> float:

@@ -12,21 +12,22 @@ It returns (dark result, gamma_diff, threshold) for every cavity, with an
 infinite threshold for an unstable one, as for an opaque one.  Stage 4, the one
 dark decision, is a comparison: a point is dark exactly when its pump is at
 most the threshold.  Only a point that lases reaches `_lasing_stage`, which
-reads the whole parameter record:
+reads the spec objects by name and the pump, and no parameter record:
 
 5. the cavity mode, solved once, its radius w0 at the doubling crystal, and
    the intracavity powers with frequency doubling;
-6. delivery of the fundamental to the photovoltaic receiver (power channel)
-   and maximum-power-point charging;
-7. delivery of the doubled carrier to the photodiode (information channel),
-   whose capture reads the same mode's spot, and the achievable rate.
+6. delivery of the fundamental to the photovoltaic receiver along
+   `pv.PowerPath` (power channel) and maximum-power-point charging;
+7. delivery of the doubled carrier to the photodiode along
+   `it_channel.CarrierPath` (information channel), whose capture reads the
+   same mode's spot, and the achievable rate.
 
 The threshold comes before the mode because it does not depend on w0: a dark
 point pays only for the tests that make it dark.  `evaluate_rows` runs the
 same stages over the rows of a one-field sweep: a row rebuilds only the specs
 its value feeds (`params._row_specs`), a field that feeds no cavity spec
 (today only `p_in`) shares the base's cavity stage, and only a row that lases
-builds its parameter record.
+merges its rebuilt specs into the base's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import it_channel, optics, pv, resonator
-from .params import _READERS, SystemParams, _row_specs, _with_field
+from .params import _READERS, SystemParams, _row_specs
 
 
 @dataclass(frozen=True)
@@ -77,37 +78,30 @@ def _cavity_stage(geometry: optics.CavityGeometry, gain: resonator.GainMediumSpe
     return _BELOW_THRESHOLD, gamma_diff, resonator.lasing_threshold(gain, r1, r2)
 
 
-def _lasing_stage(gamma_diff: float, params: SystemParams) -> LinkResult:
-    """Stages 5-7 of a point that lases, with the cavity stage's `gamma_diff`."""
-    geom, gain = params.geometry, params.gain
+def _lasing_stage(gamma_diff: float, p_in: float, specs: dict) -> LinkResult:
+    """Stages 5-7 of a point that lases at pump `p_in`, with the cavity stage's
+    `gamma_diff`; `specs` maps each spec attribute of `params._SPECS` to its
+    object, as a record's `vars` does."""
+    geom, gain, loss = specs["geometry"], specs["gain"], specs["loss"]
     mode = optics.cavity_mode(geom, gain.a_g, gain.lam)
     w0 = optics.beam_radius(mode, 0.0)
-    sol = resonator.solve_intracavity(gain, params.shg, params.loss,
-                                      params.p_in, w0, gamma_diff, geom.d)
-    gamma_air = resonator.air_transmittance(params.alpha_air, geom.d)
+    sol = resonator.solve_intracavity(gain, specs["shg"], loss, p_in, w0, gamma_diff, geom.d)
+    gamma_air = resonator.air_transmittance(loss.alpha_air, geom.d)
 
     # power channel: fundamental leakage through the output coupler
-    p_recv_pt = pv.received_pt_power(sol.p2, gamma_pv=params.gamma_pv,
-                                     gamma_l3=params.gamma_l3,
-                                     gamma_m5_nu=params.gamma_m5_nu,
-                                     r_m2=params.r_m2,
-                                     gamma_l2=params.gamma_l2,
-                                     gamma_air=gamma_air)
-    i_ph = pv.photo_current(params.pv, p_recv_pt)
-    op = pv.mppt(params.pv, i_ph)
+    p_recv_pt = pv.received_pt_power(sol.p2, specs["power_path"], loss, gamma_air)
+    cell = specs["pv"]
+    op = pv.mppt(cell, pv.photo_current(cell, p_recv_pt))
 
     # information channel: doubled carrier back through the cavity to the detector
-    gamma_pd = params.gamma_pd
+    path = specs["carrier_path"]
+    gamma_pd = path.gamma_pd
     if isinstance(gamma_pd, str):  # 'auto' -> concentrator capture model
         a_o = math.pi * optics.beam_radius(mode, geom.z_pv) ** 2
         gamma_pd = it_channel.pd_capture_ratio(
-            it_channel.effective_area(params.concentrator), a_o)
-    p_recv_it = it_channel.received_it_power(
-        sol.p_c, gamma_pd=gamma_pd, gamma_l4=params.gamma_l4,
-        r_m5_2nu=params.r_m5_2nu, gamma_m2_2nu=params.gamma_m2_2nu,
-        gamma_l2=params.gamma_l2, gamma_air=gamma_air,
-        gamma_g_eom=params.gamma_g_eom, gamma_l1=params.gamma_l1)
-    r_b = it_channel.achievable_rate(params.noise, p_recv_it)
+            it_channel.effective_area(specs["concentrator"]), a_o)
+    p_recv_it = it_channel.received_it_power(sol.p_c, gamma_pd, path, loss, gamma_air)
+    r_b = it_channel.achievable_rate(specs["noise"], p_recv_it)
 
     return LinkResult(p_recv_pt=p_recv_pt, p_recv_it=p_recv_it,
                       p_hat_charge=op.p_charge, r_b=r_b, v_mpp=op.v_charge,
@@ -118,7 +112,8 @@ def evaluate_link(params: SystemParams) -> LinkResult:
     """Evaluate the full transfer chain for one configuration."""
     dark, gamma_diff, threshold = _cavity_stage(params.geometry, params.gain,
                                                 params.loss, params.shg)
-    return dark if params.p_in <= threshold else _lasing_stage(gamma_diff, params)
+    p_in = params.p_in
+    return dark if p_in <= threshold else _lasing_stage(gamma_diff, p_in, vars(params))
 
 
 def evaluate_rows(base: SystemParams, name: str, values) -> list[LinkResult]:
@@ -129,13 +124,14 @@ def evaluate_rows(base: SystemParams, name: str, values) -> list[LinkResult]:
     specs = [getattr(base, attr) for attr in _CAVITY_SPECS]
     slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS) if attr in _READERS[name]]
     shared = None if slots else _cavity_stage(*specs)  # no row rebuilds a cavity spec
-    p_in = base.p_in
+    record, p_in = vars(base), base.p_in
     results = []
     for value in values:
         changes = row_specs(value)
         for k, attr in slots:
             specs[k] = changes[attr]
         dark, gamma_diff, threshold = shared or _cavity_stage(*specs)
-        results.append(dark if changes.get("p_in", p_in) <= threshold
-                       else _lasing_stage(gamma_diff, _with_field(base, changes)))
+        pump = changes.get("p_in", p_in)
+        results.append(dark if pump <= threshold
+                       else _lasing_stage(gamma_diff, pump, {**record, **changes}))
     return results

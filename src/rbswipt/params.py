@@ -4,13 +4,14 @@ SystemParams is a flat record of every scalar the simulator needs (geometry,
 gain medium, doubling crystal, coatings, receiver optics, noise, photovoltaic
 cell, safety, pump power).  Field names double as config keys.  The spec
 objects of the link stages are built and validated once, when the parameters
-are constructed, and kept as attributes outside the dataclass fields; the
-safety fields are range-checked here and read only by the `--safety` report.
-So is a lossless cavity, which has no lasing threshold.  A sweep's end points
-pass through this constructor; for a row between them, `_row_specs` and
-`_with_field` serve `link.evaluate_rows`: a row rebuilds only the spec objects
-that read its one field, with their other arguments taken from the base once
-per sweep, and shares the rest.
+are constructed, and kept as attributes outside the dataclass fields.  Every
+field but the pump `p_in` and the safety fields feeds a spec; those are
+range-checked here, and the safety fields are read only by the `--safety`
+report.  So is a lossless cavity, which has no lasing threshold.  A sweep's end
+points pass through this constructor; for a row between them, `_row_specs`
+serves `link.evaluate_rows`: a row rebuilds only the spec objects that read its
+one field, with their other arguments taken from the base once per sweep, and
+shares the rest, so a row builds no record.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -25,9 +26,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .it_channel import ConcentratorSpec, NoiseSpec
+from .it_channel import CarrierPath, ConcentratorSpec, NoiseSpec
 from .optics import CavityGeometry
-from .pv import PVSpec
+from .pv import PowerPath, PVSpec
 from .resonator import (GainMediumSpec, LossBudget, SHGSpec, _round_trip,
                         equivalent_reflectances, resolve_gamma_diff)
 
@@ -45,19 +46,15 @@ _SPECS = {
     for attr, cls in (("geometry", CavityGeometry), ("gain", GainMediumSpec),
                       ("shg", SHGSpec), ("loss", LossBudget),
                       ("concentrator", ConcentratorSpec), ("noise", NoiseSpec),
-                      ("pv", PVSpec))
+                      ("pv", PVSpec), ("power_path", PowerPath),
+                      ("carrier_path", CarrierPath))
 }
 
 
 def _check_loose(name: str, v) -> None:
-    """Range check of a field that no spec object reads."""
-    if name == "gamma_pd":
-        if isinstance(v, str):
-            if v != "auto":
-                raise ValueError(f"gamma_pd must be a number or 'auto', got {v!r}")
-        elif not 0.0 < float(v) <= 1.0:
-            raise ValueError(f"gamma_pd must be in (0, 1], got {v}")
-    elif name == "d_e":
+    """Range check of a field that no spec object reads: the pump and the
+    safety fields."""
+    if name == "d_e":
         if not 0.0 < v < math.inf:
             raise ValueError(f"d_e must be positive and finite, got {v}")
         try:  # the safety report divides by d_e**2 and multiplies by it
@@ -69,7 +66,7 @@ def _check_loose(name: str, v) -> None:
     elif name == "p_in":
         if not 0.0 <= v < math.inf:
             raise ValueError(f"p_in must be non-negative and finite, got {v}")
-    elif not 0.0 < v <= 1.0:  # the other loss factors and the pump-path efficiencies
+    elif not 0.0 < v <= 1.0:  # the pump-path efficiencies
         raise ValueError(f"{name} must be in (0, 1], got {v}")
 
 
@@ -78,8 +75,9 @@ class SystemParams:
     """Complete simulator configuration; defaults describe the reference
     desk-scale design (1064 nm resonant beam, 532 nm carrier).
 
-    Attributes `geometry`, `gain`, `shg`, `loss`, `concentrator`, `noise`
-    and `pv` hold the spec objects built from the fields."""
+    Attributes `geometry`, `gain`, `shg`, `loss`, `concentrator`, `noise`,
+    `pv`, `power_path` and `carrier_path` hold the spec objects built from
+    the fields."""
 
     # cavity geometry [m]
     f: float = 0.03
@@ -176,18 +174,6 @@ def _row_specs(base: SystemParams, name: str):
             args[slot] = value
             changes[attr] = cls(*args)
         return changes
-    return row
-
-
-def _with_field(base: SystemParams, changes: dict) -> SystemParams:
-    """`base` with the entries `changes` of a `_row_specs` row: the record
-    `dataclasses.replace` gives, built without re-running the other 47 fields'
-    checks.  Every other spec object is the base's own.  `link.evaluate_rows`
-    builds this record only for a row that lases."""
-    row = object.__new__(SystemParams)
-    fields = vars(row)
-    fields.update(vars(base))
-    fields.update(changes)
     return row
 
 

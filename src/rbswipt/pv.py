@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, E_CHARGE, H_PLANCK, K_BOLTZMANN
+from .resonator import LossBudget
 
 _EXP_CLAMP = 700.0  # exp argument cap, avoids overflow on wild brackets
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,6 +72,23 @@ class PVSpec:
 
 
 @dataclass(frozen=True)
+class PowerPath:
+    """Transmittances of the fundamental's path from the cavity to the cell
+    that the cavity does not share, from the cell back: the cell surface
+    gamma_pv, lens L3 and the dichroic at the fundamental gamma_m5_nu."""
+
+    gamma_pv: float
+    gamma_l3: float
+    gamma_m5_nu: float
+
+    def __post_init__(self) -> None:
+        for name in ("gamma_pv", "gamma_l3", "gamma_m5_nu"):
+            v = getattr(self, name)
+            if not 0.0 < v <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {v}")
+
+
+@dataclass(frozen=True)
 class OperatingPoint:
     """One solved circuit state; p_charge = v_charge * i_charge."""
 
@@ -80,23 +98,17 @@ class OperatingPoint:
     v_d: float
 
 
-def received_pt_power(
-    p2: float,
-    gamma_pv: float,
-    gamma_l3: float,
-    gamma_m5_nu: float,
-    r_m2: float,
-    gamma_l2: float,
-    gamma_air: float,
-) -> float:
+def received_pt_power(p2: float, path: PowerPath, loss: LossBudget, gamma_air: float) -> float:
     """Beam power reaching the photovoltaic cell.
 
-    The output mirror transmits 1 - r_m2 of the incident wave p2 (lossless
-    coupler); the extracted beam then passes lens L2, air, the dichroic
-    (transmittance gamma_m5_nu at the fundamental), lens L3 and the cell
-    surface gamma_pv.
+    The output mirror transmits 1 - loss.r_m2 of the incident wave p2
+    (lossless coupler); the extracted beam then passes lens L2
+    (loss.gamma_l2), air (gamma_air), the dichroic (path.gamma_m5_nu at the
+    fundamental), lens L3 (path.gamma_l3) and the cell surface
+    path.gamma_pv.
     """
-    return gamma_pv * gamma_l3 * gamma_m5_nu * (1.0 - r_m2) * gamma_l2 * gamma_air * p2
+    return (path.gamma_pv * path.gamma_l3 * path.gamma_m5_nu * (1.0 - loss.r_m2)
+            * loss.gamma_l2 * gamma_air * p2)
 
 
 def photo_current(spec: PVSpec, p_recv_pt: float) -> float:

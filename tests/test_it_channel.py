@@ -6,6 +6,7 @@ import pytest
 
 from rbswipt.constants import E_CHARGE, K_BOLTZMANN
 from rbswipt.it_channel import (
+    CarrierPath,
     ConcentratorSpec,
     NoiseSpec,
     achievable_rate,
@@ -15,6 +16,7 @@ from rbswipt.it_channel import (
     pd_capture_ratio,
     received_it_power,
 )
+from rbswipt.resonator import LossBudget
 
 CON = ConcentratorSpec(a_pd=1.6e-7, psi_c=math.radians(30.0), n_c=1.5,
                        t_s=0.995, psi=0.0)
@@ -63,22 +65,23 @@ def test_pd_capture_ratio():
 
 
 def test_received_it_power_factor_chain():
-    factors = dict(gamma_pd=0.057007875436445726, gamma_l4=0.99, r_m5_2nu=0.995,
-                   gamma_m2_2nu=0.99, gamma_l2=0.99, gamma_air=math.exp(-6e-4),
-                   gamma_g_eom=0.9752, gamma_l1=0.99)
+    gamma_pd, gamma_air = 0.057007875436445726, math.exp(-6e-4)
+    path = CarrierPath(gamma_pd="auto", gamma_l4=0.99, r_m5_2nu=0.995, gamma_m2_2nu=0.99,
+                       gamma_g_eom=0.9752)
+    loss = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915, alpha_air=1e-4)
     p_c = 0.4249684565706579
-    got = received_it_power(p_c, **factors)
+    got = received_it_power(p_c, gamma_pd, path, loss, gamma_air)
     expected = p_c
-    for value in factors.values():
+    for value in (gamma_pd, 0.99, 0.995, 0.99, 0.99, gamma_air, 0.9752, 0.99):
         expected *= value
     assert math.isclose(got, expected, rel_tol=1e-12)
     assert math.isclose(got, 0.022567763746865574, rel_tol=1e-12)
     # without capture the fixed-optics chain multiplies out to ~0.9315
-    chain = got / (p_c * factors["gamma_pd"])
+    chain = got / (p_c * gamma_pd)
     assert math.isclose(chain, 0.9315302769320907, rel_tol=1e-12)
-    assert received_it_power(0.0, **factors) == 0.0
+    assert received_it_power(0.0, gamma_pd, path, loss, gamma_air) == 0.0
     with pytest.raises(ValueError):
-        received_it_power(-1.0, **factors)
+        received_it_power(-1.0, gamma_pd, path, loss, gamma_air)
 
 
 def test_noise_variance_terms():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rbswipt.cli import main
-from rbswipt.link import LinkResult, _cavity_stage, evaluate_link
+from rbswipt.link import LinkResult, _cavity_stage, evaluate_link, evaluate_rows
 from rbswipt.params import SystemParams
 
 DEFAULT = SystemParams()
@@ -88,6 +88,33 @@ def test_constant_diffraction_override():
     ideal = evaluate_link(dataclasses.replace(DEFAULT, gamma_diff=1.0))
     assert lossier.p_recv_pt < reference.p_recv_pt < ideal.p_recv_pt
     assert lossier.r_b < reference.r_b < ideal.r_b
+
+
+# bases on which a string-valued field's default is a number
+NUMERIC_BASES = {"gamma_diff": SystemParams(gamma_diff=0.8), "gamma_pd": SystemParams(gamma_pd=0.5)}
+
+
+def test_rows_of_every_field_equal_whole_evaluations():
+    # A row's lasing stage reads the base's specs merged with the row's rebuilt
+    # ones; a row that read a base spec in place of its own would show here.
+    # Every numeric field but n_s, at 0.5, 0.9, 1 and 1.1 times its value on
+    # the base where that is valid; the default point lases.
+    rows = 0
+    for field in dataclasses.fields(SystemParams):
+        name = field.name
+        if name == "n_s":
+            continue
+        base = NUMERIC_BASES.get(name, DEFAULT)
+        points = []
+        for k in (0.5, 0.9, 1.0, 1.1):
+            try:
+                points.append(dataclasses.replace(base, **{name: getattr(base, name) * k}))
+            except ValueError:
+                pass
+        got = evaluate_rows(base, name, [getattr(p, name) for p in points])
+        assert [repr(r) for r in got] == [repr(evaluate_link(p)) for p in points], name
+        rows += len(points)
+    assert rows == 170
 
 
 def test_result_is_frozen_record():

@@ -7,12 +7,12 @@ import random
 
 import pytest
 
+from rbswipt.cli import main
 from rbswipt.params import (
     ConfigError,
     SystemParams,
     _READERS,
     _row_specs,
-    _with_field,
     format_defaults,
     load_params,
     parse_config_text,
@@ -42,11 +42,13 @@ def test_spec_object_properties_mirror_fields():
     assert p.concentrator.a_pd == p.a_pd and p.concentrator.psi == p.psi
     assert p.noise.b == p.b and p.noise.t == p.t
     assert p.pv.i0 == p.i0 and p.pv.t == p.t and p.pv.lam == p.lam
+    assert p.power_path.gamma_pv == p.gamma_pv and p.carrier_path.gamma_pd == p.gamma_pd
     assert _READERS["lam"] == ("gain", "pv")  # the cell's quantum limit reads lam
     assert not hasattr(p, "safety")  # --safety reads the safety fields themselves
 
 
-SPECS = ("geometry", "gain", "shg", "loss", "concentrator", "noise", "pv")
+SPECS = ("geometry", "gain", "shg", "loss", "concentrator", "noise", "pv", "power_path",
+         "carrier_path")
 
 
 def test_spec_objects_are_built_once_and_kept():
@@ -116,6 +118,51 @@ def test_validation_rejects_out_of_range():
     assert SystemParams(gamma_diff="model:farfield").gamma_diff == "model:farfield"
 
 
+# SystemParams' refusals of the light-path factors, recorded from the release
+# that range-checked them as loose fields; the path specs must word them alike
+PATH_REFUSALS = [
+    ("gamma_pv", 0.0, "gamma_pv must be in (0, 1], got 0.0"),
+    ("gamma_pv", 1.5, "gamma_pv must be in (0, 1], got 1.5"),
+    ("gamma_pv", math.nan, "gamma_pv must be in (0, 1], got nan"),
+    ("gamma_l3", 0.0, "gamma_l3 must be in (0, 1], got 0.0"),
+    ("gamma_l3", 1.5, "gamma_l3 must be in (0, 1], got 1.5"),
+    ("gamma_l3", math.nan, "gamma_l3 must be in (0, 1], got nan"),
+    ("gamma_m5_nu", 0.0, "gamma_m5_nu must be in (0, 1], got 0.0"),
+    ("gamma_m5_nu", 1.5, "gamma_m5_nu must be in (0, 1], got 1.5"),
+    ("gamma_m5_nu", math.nan, "gamma_m5_nu must be in (0, 1], got nan"),
+    ("gamma_pd", 0.0, "gamma_pd must be in (0, 1], got 0.0"),
+    ("gamma_pd", 1.5, "gamma_pd must be in (0, 1], got 1.5"),
+    ("gamma_pd", math.nan, "gamma_pd must be in (0, 1], got nan"),
+    ("gamma_pd", "bogus", "gamma_pd must be a number or 'auto', got 'bogus'"),
+    ("gamma_l4", 0.0, "gamma_l4 must be in (0, 1], got 0.0"),
+    ("gamma_l4", 1.5, "gamma_l4 must be in (0, 1], got 1.5"),
+    ("gamma_l4", math.nan, "gamma_l4 must be in (0, 1], got nan"),
+    ("r_m5_2nu", 0.0, "r_m5_2nu must be in (0, 1], got 0.0"),
+    ("r_m5_2nu", 1.5, "r_m5_2nu must be in (0, 1], got 1.5"),
+    ("r_m5_2nu", math.nan, "r_m5_2nu must be in (0, 1], got nan"),
+    ("gamma_m2_2nu", 0.0, "gamma_m2_2nu must be in (0, 1], got 0.0"),
+    ("gamma_m2_2nu", 1.5, "gamma_m2_2nu must be in (0, 1], got 1.5"),
+    ("gamma_m2_2nu", math.nan, "gamma_m2_2nu must be in (0, 1], got nan"),
+    ("gamma_g_eom", 0.0, "gamma_g_eom must be in (0, 1], got 0.0"),
+    ("gamma_g_eom", 1.5, "gamma_g_eom must be in (0, 1], got 1.5"),
+    ("gamma_g_eom", math.nan, "gamma_g_eom must be in (0, 1], got nan"),
+]
+
+
+def test_path_refusal_texts(tmp_path, capsys):
+    # each refusal as SystemParams raises it and as `simulate --config` prints
+    # it, with exit code 2
+    cfg = tmp_path / "path.cfg"
+    for name, value, text in PATH_REFUSALS:
+        with pytest.raises(ValueError) as refused:
+            SystemParams(**{name: value})
+        assert str(refused.value) == text, (name, value)
+        cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 2, (name, value)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"configuration error: {text}\n")
+
+
 # a valid value other than the default, for fields where 0.99 x default is not one
 OTHER_VALUE = {"gamma_diff": 0.8, "gamma_pd": 0.5, "n_s": 2, "psi": 0.1}
 
@@ -125,15 +172,17 @@ def test_row_builder_matches_the_constructor():
     for field in dataclasses.fields(SystemParams):
         name = field.name
         value = OTHER_VALUE[name] if name in OTHER_VALUE else getattr(base, name) * 0.99
-        row = _with_field(base, _row_specs(base, name)(value))
+        changes = _row_specs(base, name)(value)
         ref = dataclasses.replace(base, **{name: value})
-        assert row == ref and getattr(row, name) == value != getattr(base, name)
-        assert pickle.dumps(row) == pickle.dumps(ref), name
+        assert changes.keys() == {name, *_READERS[name]}
+        assert changes[name] == value != getattr(base, name)
+        # the base's entries merged with the row's are the record replace builds
+        assert {**vars(base), **changes} == vars(ref), name
         for attr in SPECS:
-            spec = getattr(row, attr)
+            spec = changes.get(attr, getattr(base, attr))
             assert spec == getattr(ref, attr), (name, attr)
             reads = name in {f.name for f in dataclasses.fields(spec)}
-            assert (spec is getattr(base, attr)) is not reads, (name, attr)
+            assert (attr in changes) is reads, (name, attr)
         if not _READERS[name]:  # passed through: a sweep checks its end points
             continue
         for bad in (math.nan, math.inf, -math.inf):
@@ -167,11 +216,12 @@ def test_row_function_keeps_no_state_between_rows():
         row = _row_specs(base, name)
 
         def check(value):
-            built = _with_field(base, row(value))
+            changes = row(value)
             ref = dataclasses.replace(base, **{name: value})
-            assert getattr(built, name) == value, name
+            assert changes[name] == value, name
             for attr in SPECS:
-                assert getattr(built, attr) == getattr(ref, attr), (name, value, attr)
+                spec = changes.get(attr, getattr(base, attr))
+                assert spec == getattr(ref, attr), (name, value, attr)
 
         default = getattr(base, name)
         values = OTHER_VALUES.get(name) or [default * k for k in (0.97, 0.98, 0.99)]

@@ -10,6 +10,7 @@ from rbswipt import pv
 from rbswipt.constants import E_CHARGE, K_BOLTZMANN
 from rbswipt.pv import (
     OperatingPoint,
+    PowerPath,
     PVSpec,
     _diode_current,
     kirchhoff_residuals,
@@ -19,6 +20,7 @@ from rbswipt.pv import (
     received_pt_power,
     solve_operating_point,
 )
+from rbswipt.resonator import LossBudget
 
 SPEC = PVSpec(rho=0.6, lam=1064e-9, i0=0.32e-6, r_sh=53.82, r_s=0.037, n=1.48, n_s=1,
               t=298.0)
@@ -65,9 +67,9 @@ def test_spec_validation_and_thermal_voltage():
 
 def test_received_pt_power_extraction_chain():
     p2 = 65.99334088212247  # wave incident on the output coupler at the reference point
-    got = received_pt_power(p2, gamma_pv=0.995, gamma_l3=0.99,
-                            gamma_m5_nu=0.99, r_m2=0.915, gamma_l2=0.99,
-                            gamma_air=math.exp(-6e-4))
+    path = PowerPath(gamma_pv=0.995, gamma_l3=0.99, gamma_m5_nu=0.99)
+    loss = LossBudget(gamma_l1=0.99, gamma_l2=0.99, r_m1=0.995, r_m2=0.915, alpha_air=1e-4)
+    got = received_pt_power(p2, path, loss, gamma_air=math.exp(-6e-4))
     expected = 0.995 * 0.99 * 0.99 * (1.0 - 0.915) * 0.99 * math.exp(-6e-4) * p2
     assert math.isclose(got, expected, rel_tol=1e-12)
     assert math.isclose(got, 5.412365641801295, rel_tol=1e-12)

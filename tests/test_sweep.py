@@ -17,11 +17,11 @@ from rbswipt import link
 from rbswipt import params as params_module
 from rbswipt import sweep as sweep_module
 from rbswipt.cli import main
-from rbswipt.it_channel import ConcentratorSpec, NoiseSpec
+from rbswipt.it_channel import CarrierPath, ConcentratorSpec, NoiseSpec
 from rbswipt.link import LinkResult, evaluate_link
 from rbswipt.optics import CavityGeometry
 from rbswipt.params import ConfigError, SystemParams
-from rbswipt.pv import PVSpec
+from rbswipt.pv import PowerPath, PVSpec
 from rbswipt.resonator import GainMediumSpec, LossBudget, SHGSpec
 from rbswipt.sweep import (
     AXES,
@@ -192,15 +192,16 @@ def test_rows_match_points_built_by_replace(axis):
     ("r_m2", 0.5, 0.7, 600, False),
 ])
 def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps, lasing):
-    # only a row that lases reads the whole record, so only such a row builds one
+    # only a row that lases reaches the lasing stage, and only such a row merges
+    # the base's specs with its own into the mapping that stage reads
     built = []
-    with_field = link._with_field
+    lasing_stage = link._lasing_stage
 
-    def counting(base, changes):
-        built.append(changes[axis])
-        return with_field(base, changes)
+    def counting(gamma_diff, p_in, specs):
+        built.append(specs[axis])
+        return lasing_stage(gamma_diff, p_in, specs)
 
-    monkeypatch.setattr(link, "_with_field", counting)
+    monkeypatch.setattr(link, "_lasing_stage", counting)
     rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=PARAMS))
     ok = [value for value, r in rows if r.status == "ok"]
     assert built == ok
@@ -208,7 +209,7 @@ def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps
 
 
 SPEC_CLASSES = (CavityGeometry, GainMediumSpec, SHGSpec, LossBudget, ConcentratorSpec,
-                NoiseSpec, PVSpec)
+                NoiseSpec, PVSpec, PowerPath, CarrierPath)
 
 
 @pytest.mark.parametrize("axis, rebuilt", [
