@@ -91,7 +91,8 @@ def test_constant_diffraction_override():
 
 
 # bases on which a string-valued field's default is a number
-NUMERIC_BASES = {"gamma_diff": SystemParams(gamma_diff=0.8), "gamma_pd": SystemParams(gamma_pd=0.5)}
+NUMERIC_BASES = {"gamma_diff": SystemParams(gamma_diff=0.8),
+                 "gamma_pd": SystemParams(gamma_pd=0.5)}
 
 
 def test_rows_of_every_field_equal_whole_evaluations():
