@@ -90,8 +90,8 @@ def _lasing_stage(gamma_diff: float, p_in: float, specs: dict) -> LinkResult:
 
     # power channel: fundamental leakage through the output coupler
     p_recv_pt = pv.received_pt_power(sol.p2, specs["power_path"], loss, gamma_air)
-    cell = specs["pv"]
-    op = pv.mppt(cell, pv.photo_current(cell, p_recv_pt))
+    i_ph = pv.photo_current(specs["pv"], p_recv_pt)
+    op = pv.mppt(specs["pv"], i_ph)
 
     # information channel: doubled carrier back through the cavity to the detector
     path = specs["carrier_path"]
