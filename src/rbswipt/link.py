@@ -25,9 +25,10 @@ reads the spec objects by name and the pump, and no parameter record:
 The threshold comes before the mode because it does not depend on w0: a dark
 point pays only for the tests that make it dark.  `evaluate_rows` runs the
 same stages over the rows of a one-field sweep: a row rebuilds only the specs
-its value feeds (`params._row_specs`), a field that feeds no cavity spec
-(today only `p_in`) shares the base's cavity stage, and only a row that lases
-merges its rebuilt specs into the base's.
+its value feeds (`params._row_specs`), a field the cavity stage does not read
+(`_CAVITY_FIELDS`; `l_s`, `d_eff` and `n0` among them) shares the base's
+cavity stage, and only a row that lases merges its rebuilt specs into the
+base's.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from . import it_channel, optics, pv, resonator
-from .params import _READERS, SystemParams, _row_specs
+from .params import _READERS, _SPECS, SystemParams, _row_specs
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,11 @@ _BELOW_THRESHOLD = LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
                               r_b=0.0, v_mpp=0.0, eta_shg=0.0, status="below_threshold")
 
 
-# the spec objects the cavity stage reads
+# the spec objects the cavity stage reads, and the fields it reads of them: at
+# eta = 0 it reads of the crystal only gamma_shg
 _CAVITY_SPECS = ("geometry", "gain", "loss", "shg")
+_CAVITY_FIELDS = frozenset(("gamma_shg", *_SPECS["geometry"][1], *_SPECS["gain"][1],
+                            *_SPECS["loss"][1]))
 
 
 def _cavity_stage(geometry: optics.CavityGeometry, gain: resonator.GainMediumSpec,
@@ -122,8 +126,9 @@ def evaluate_rows(base: SystemParams, name: str, values) -> list[LinkResult]:
     reads, is passed as it is, so the caller bounds it."""
     row_specs = _row_specs(base, name)
     specs = [getattr(base, attr) for attr in _CAVITY_SPECS]
-    slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS) if attr in _READERS[name]]
-    shared = None if slots else _cavity_stage(*specs)  # no row rebuilds a cavity spec
+    slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS)
+             if name in _CAVITY_FIELDS and attr in _READERS[name]]
+    shared = None if slots else _cavity_stage(*specs)  # no row changes what it reads
     record, p_in = vars(base), base.p_in
     results = []
     for value in values:

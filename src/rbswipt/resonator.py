@@ -8,6 +8,10 @@ lumping the gain medium transmittance, air, coatings and diffraction
 spillover).  The doubling efficiency depends on the circulating power, which
 in turn depends on the conversion loss, so the pair (P4, eta) is solved as
 one root in eta: g(eta) = K * P4(eta) - eta, strictly decreasing on [0, 1).
+solve_intracavity brackets it by Illinois-modified regula falsi with a
+bisection safeguard in the manner of Dekker's (Brent 1973): where the computed
+sign of g is monotone it ends where bisection ends, at bracket collapse, in at
+most two evaluations more.
 
 Traveling-wave power stations around the loop: P4 is the wave incident on the
 transmitter-side equivalent mirror and P2 = (r1/r2) * P4 the wave incident on
@@ -285,9 +289,10 @@ def solve_intracavity(
 
     w0 is the multimode beam radius at the doubling crystal and gamma_diff the
     already-resolved diffraction factor.  eta solves g(eta) = K*P4(eta) - eta
-    = 0, K = shg_conversion_coefficient * 2/(pi*w0^2), by bisection of [0, 1]
-    to bracket collapse; the lower end is returned, where P4 > 0.  A pump at
-    or under the eta = 0 threshold is a ValueError: its caller decides dark.
+    = 0, K = shg_conversion_coefficient * 2/(pi*w0^2), on [0, 1] by
+    Illinois-modified regula falsi with a bisection safeguard, to bracket
+    collapse; the lower end is returned, where P4 > 0.  A pump at or under
+    the eta = 0 threshold is a ValueError: its caller decides dark.
     """
     r1, r2 = equivalent_reflectances(loss, shg, gain, 0.0, d, gamma_diff)
     p4 = rigrod_p4(gain, r1, r2, p_in)
@@ -295,20 +300,46 @@ def solve_intracavity(
         raise ValueError(f"pump {p_in!r} W is at or under the lasing threshold")
     k = shg_conversion_coefficient(shg, gain.lam) * 2.0 / (math.pi * w0 * w0)
     eta, hi = 0.0, 1.0  # g(eta) > 0 >= g(hi) throughout
+    g_eta, g_hi = k * p4, -1.0  # at eta = 1, r1 = 0 and so P4 = 0
     # Any point of the bracket can be the first trial; the undepleted K*P4(0)
     # lies just above the root wherever conversion lowers P4, and with K = 0
     # it ends the search at eta = 0 without a step.
-    mid = min(k * p4, 0.5)
+    x = mid = min(k * p4, 0.5)
+    # The safeguard follows bisection's own bracket [a, b] and its next trial
+    # mid, for free wherever mid falls outside [eta, hi], where g's sign there
+    # is known.  `ahead` counts the bisection steps so skipped less the steps
+    # taken; at -2 the next trial is bisection's, so no solve makes more than
+    # two steps beyond bisection's.
+    a, b, ahead, side = eta, hi, 0, 0
     # r2 does not depend on eta; r1 is rounded as equivalent_reflectances does
     s1 = math.sqrt(loss.gamma_l1**2 * loss.r_m1)
-    while eta < mid < hi:
-        r1_mid = (1.0 - mid) * shg.gamma_shg * s1
-        p4_mid = rigrod_p4(gain, r1_mid, r2, p_in)
-        if k * p4_mid > mid:
-            eta, r1, p4 = mid, r1_mid, p4_mid
+    while eta < x < hi:
+        r1_x = (1.0 - x) * shg.gamma_shg * s1
+        p4_x = rigrod_p4(gain, r1_x, r2, p_in)
+        if k * p4_x > x:
+            eta, r1, p4, g_eta = x, r1_x, p4_x, k * p4_x - x
+            if side > 0:  # hi kept twice running: halve its weight (Illinois)
+                g_hi *= 0.5
+            side = 1
         else:
-            hi = mid
-        mid = 0.5 * (eta + hi)
+            hi, g_hi = x, k * p4_x - x
+            if side < 0:
+                g_eta *= 0.5
+            side = -1
+        ahead -= 1
+        while ahead < -1 and a < mid < b and not eta < mid < hi:
+            if mid <= eta:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * (a + b)
+            ahead += 1
+        if ahead < -1:
+            x = mid  # inside [eta, hi], or both brackets have collapsed
+        else:
+            x = eta + g_eta * (hi - eta) / (g_eta - g_hi)
+            if not eta < x < hi:  # rounded onto an end, or inf/inf
+                x = 0.5 * (eta + hi)
     if eta > 0.1:
         warnings.warn(f"doubling efficiency {eta:.3g} exceeds the low-conversion "
                       "assumption", stacklevel=2)

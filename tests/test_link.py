@@ -118,6 +118,23 @@ def test_rows_of_every_field_equal_whole_evaluations():
     assert rows == 170
 
 
+@pytest.mark.parametrize("name, stages", [("l_s", 1), ("d_eff", 1), ("n0", 1), ("gamma_shg", 4)])
+def test_rows_share_the_cavity_stage_unless_it_reads_the_field(monkeypatch, name, stages):
+    # At eta = 0 the cavity stage reads of the crystal only gamma_shg, so a
+    # sweep of l_s, d_eff or n0 runs it once, for the base
+    from rbswipt import link
+
+    calls = []
+
+    def counting(*specs):
+        calls.append(specs)
+        return _cavity_stage(*specs)
+
+    monkeypatch.setattr(link, "_cavity_stage", counting)
+    evaluate_rows(DEFAULT, name, [getattr(DEFAULT, name) * k for k in (0.5, 0.8, 0.9, 1.0)])
+    assert len(calls) == stages
+
+
 def test_result_is_frozen_record():
     r = evaluate_link(DEFAULT)
     assert isinstance(r, LinkResult)
@@ -154,13 +171,14 @@ def count_calls(monkeypatch, names, params):
     return result, seen
 
 
-# MPPT: 2 + ceil(ln 1e9 / ln(1/phi)) = 46 solves; _diode_current: 2 ends and
-# the bisection midpoints per solve (50 to 55 calls each), plus
-# open_circuit_voltage (54)
+# rigrod_p4: one call at eta = 0, then the safeguarded Illinois steps;
+# MPPT: 2 + ceil(ln 1e9 / ln(1/phi)) = 46 solves;
+# _diode_current: 2 ends and the bisection midpoints per solve (50 to 55 calls
+# each), plus open_circuit_voltage (54)
 @pytest.mark.parametrize("d, counts", [
-    (6.0, {"resonator.rigrod_p4": 55, "pv.solve_operating_point": 46,
+    (6.0, {"resonator.rigrod_p4": 11, "pv.solve_operating_point": 46,
            "pv._diode_current": 2534}),
-    (11.0, {"resonator.rigrod_p4": 56, "pv.solve_operating_point": 46,
+    (11.0, {"resonator.rigrod_p4": 15, "pv.solve_operating_point": 46,
             "pv._diode_current": 2578}),
 ])
 def test_solver_call_counts(monkeypatch, d, counts):

@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from rbswipt import resonator
 from rbswipt.constants import C_LIGHT, EPSILON_0
 from rbswipt.optics import CavityGeometry, beam_radius, cavity_mode
 from rbswipt.resonator import (
     GainMediumSpec,
+    IntracavitySolution,
     LossBudget,
     SHGSpec,
     air_transmittance,
@@ -387,3 +389,77 @@ def test_solve_intracavity_matches_bisection_oracle():
                                 200.0, w0, gd, GEOM.d)
     assert math.isclose(sol.eta_shg, 0.270, rel_tol=1e-3)
     assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
+
+
+def _bisection_reference(gain, shg, loss, p_in, w0, gamma_diff, d):
+    """The bisection that `solve_intracavity` replaced, verbatim but for its
+    warning: the root it returns and the rigrod_p4 calls it makes are the
+    reference for the Illinois solve."""
+    r1, r2 = equivalent_reflectances(loss, shg, gain, 0.0, d, gamma_diff)
+    p4 = rigrod_p4(gain, r1, r2, p_in)
+    if p4 <= 0.0:
+        raise ValueError(f"pump {p_in!r} W is at or under the lasing threshold")
+    k = shg_conversion_coefficient(shg, gain.lam) * 2.0 / (math.pi * w0 * w0)
+    eta, hi = 0.0, 1.0  # g(eta) > 0 >= g(hi) throughout
+    # Any point of the bracket can be the first trial; the undepleted K*P4(0)
+    # lies just above the root wherever conversion lowers P4, and with K = 0
+    # it ends the search at eta = 0 without a step.
+    mid = min(k * p4, 0.5)
+    # r2 does not depend on eta; r1 is rounded as equivalent_reflectances does
+    s1 = math.sqrt(loss.gamma_l1**2 * loss.r_m1)
+    while eta < mid < hi:
+        r1_mid = (1.0 - mid) * shg.gamma_shg * s1
+        p4_mid = rigrod_p4(gain, r1_mid, r2, p_in)
+        if k * p4_mid > mid:
+            eta, r1, p4 = mid, r1_mid, p4_mid
+        else:
+            hi = mid
+        mid = 0.5 * (eta + hi)
+    return IntracavitySolution(
+        p2=(r1 / r2) * p4,
+        p4=p4,
+        eta_shg=eta,
+        r1=r1,
+        r2=r2,
+        p_c=2.0 * eta * p4,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:doubling efficiency")
+def test_illinois_solve_is_bisection_bit_for_bit_within_two_calls(monkeypatch):
+    # 3000 seeded lasing draws over d in [0, 12) m, p_in in [0, 200] W, r_m2 in
+    # [0.5, 1), l_s in [0.1, 6] mm and d_eff in {1, 4.7, 50} pm/V: every
+    # solution is the bisection's, and no solve makes more than 2 rigrod_p4
+    # calls beyond the bisection's count
+    calls, uncounted = [0], rigrod_p4
+
+    def counting(*args):
+        calls[0] += 1
+        return uncounted(*args)
+
+    # the solve looks rigrod_p4 up in its module, the reference in this one
+    monkeypatch.setattr(resonator, "rigrod_p4", counting)
+    monkeypatch.setitem(globals(), "rigrod_p4", counting)
+    rng = np.random.default_rng(20261020)
+    counts = []  # (Illinois calls, bisection calls) per solve
+    while len(counts) < 3000:
+        d, p_in, r_m2, l_s, pick = rng.uniform((0.0, 0.0, 0.5, 0.1e-3, 0.0),
+                                               (12.0, 200.0, 1.0, 6e-3, 3.0)).tolist()
+        geom = CavityGeometry(f=0.03, l=0.03015, d=d)
+        loss = dataclasses.replace(LOSS, r_m2=r_m2)
+        shg = dataclasses.replace(SHG, l_s=l_s, d_eff=(1e-12, 4.7e-12, 50e-12)[int(pick)])
+        gd = diffraction_loss(geom, GAIN.a_g, GAIN.lam)
+        if p_in <= lasing_threshold(GAIN, *equivalent_reflectances(loss, shg, GAIN, 0.0, d, gd)):
+            continue
+        w0 = beam_radius(cavity_mode(geom, GAIN.a_g, GAIN.lam), 0.0)
+        calls[0] = 0
+        want = _bisection_reference(GAIN, shg, loss, p_in, w0, gd, d)
+        bisection_calls = calls[0]
+        calls[0] = 0
+        got = solve_intracavity(GAIN, shg, loss, p_in, w0, gd, d)
+        case = (d, p_in, r_m2, l_s, shg.d_eff)
+        assert repr(got) == repr(want), case
+        assert calls[0] <= bisection_calls + 2, case
+        counts.append((calls[0], bisection_calls))
+    illinois, bisection = np.median(counts, axis=0)
+    assert illinois < 0.4 * bisection  # 19 and 55
