@@ -19,7 +19,7 @@ from .link import LinkResult, evaluate_link
 from .params import ConfigError, format_defaults, load_params
 from .safety import (absorbed_pump_power, angular_subtense, max_safe_source_power,
                      mpe_extended_source, spontaneous_irradiance)
-from .sweep import AXES, SweepSpec, emit_csv, emit_plot_data, run_sweep
+from .sweep import AXIS_RULE, SweepSpec, emit_csv, emit_plot_data, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="configuration file (key = value lines)")
     parser.add_argument("--sweep", metavar="AXIS:MIN:MAX:STEPS",
-                        help=f"sweep one parameter (axes: {', '.join(AXES)})")
+                        help=f"sweep one parameter; AXIS is {AXIS_RULE}")
     parser.add_argument("--csv", metavar="PATH", help="write sweep rows as CSV")
     parser.add_argument("--svg", metavar="PATH", help="write sweep chart as SVG")
     parser.add_argument("--safety", action="store_true",

@@ -1,8 +1,14 @@
 """Parameter sweeps over the link chain, with CSV and SVG emitters.
 
 A sweep varies one configuration field over a uniform grid and evaluates the
-full link at each point, in grid order (`link.evaluate_rows`).  `SystemParams`
-checks the end points, which bounds every row.  The CSV layout is fixed:
+full link at each point, in grid order (`link.evaluate_rows`).  The fields it
+may vary, `AXES`, follow from `params._READERS`: the pump `p_in` and every
+field a link stage reads, except the integer `n_s` and `gamma_diff` and
+`gamma_pd`, which may hold a model name.  The safety fields reach no stage, so
+a sweep of one would draw a flat line.  `SystemParams` checks the end points:
+every spec check is an interval in any one field, and r1*r2 at zero
+conversion is monotone in each, so valid ends bound every row.  The CSV
+layout is fixed:
 
     axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status
 
@@ -20,28 +26,24 @@ import os
 import stat
 
 from .link import LinkResult, evaluate_rows
-from .params import _UNIT_HINT, ConfigError, SystemParams
+from .params import _INT_FIELDS, _READERS, _STRING_OK, _UNIT_HINT, ConfigError, SystemParams
 
-AXES = ("d", "p_in", "r_m2", "l_s")
+AXES = tuple(name for name, readers in _READERS.items()
+             if (readers or name == "p_in") and name not in _INT_FIELDS | _STRING_OK)
+AXIS_RULE = ("p_in or any float field a link stage reads, not "
+             + ", ".join(name for name in _READERS if name not in AXES))
 
 MAX_STEPS = 1_000_000  # validation builds the whole grid, about 50 bytes a step
 
 CSV_HEADER = "axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status"
 
 
-def canonical_axis(name: str) -> str:
-    """Map an axis name (case-insensitive) to its config field."""
-    axis = name.strip().lower()
-    if axis not in AXES:
-        raise ConfigError(f"unknown sweep axis {name!r}; choose from {', '.join(AXES)}")
-    return axis
-
-
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional sweep: `axis` varied over [vmin, vmax] in `steps` distinct
-    points.  A range too narrow for that, whose grid would repeat a value, or an
-    end point that `SystemParams` refuses, is a ConfigError."""
+    """One-dimensional sweep: `axis`, a name in `AXES` in any case, varied over
+    [vmin, vmax] in `steps` distinct points.  A range too narrow for that, whose
+    grid would repeat a value, or an end point that `SystemParams` refuses, is a
+    ConfigError."""
 
     axis: str
     vmin: float
@@ -54,7 +56,9 @@ class SweepSpec:
             object.__setattr__(self, "steps", operator.index(self.steps))
         except TypeError:
             raise ConfigError(f"sweep steps must be an integer, got {self.steps!r}") from None
-        object.__setattr__(self, "axis", canonical_axis(self.axis))
+        object.__setattr__(self, "axis", self.axis.strip().lower())
+        if self.axis not in AXES:
+            raise ConfigError(f"cannot sweep {self.axis!r}: a sweep axis is {AXIS_RULE}")
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
         if self.steps > MAX_STEPS:
@@ -70,9 +74,10 @@ class SweepSpec:
         if any(a >= b for a, b in zip(values, values[1:])):  # rows would repeat a point
             raise ConfigError(f"sweep range [{self.vmin!r}, {self.vmax!r}] is too narrow "
                               f"for {self.steps} distinct steps")
-        # each end is checked as its row's record; every check holds on an
-        # interval of the swept field, and r1*r2 at zero conversion does not
-        # rise with d and rises with r_m2, so valid ends make the grid valid
+        # each end is checked as its row's record.  Every spec check is an
+        # interval in any one field: ((l - f)/f)**2, not monotone in f, still
+        # peaks at an end of any f or l interval.  r1*r2 at zero conversion and
+        # gamma_diff are monotone in each field.  So valid ends make the grid valid
         for value in (self.vmin, self.vmax):
             try:
                 dataclasses.replace(self.params, **{self.axis: value})

@@ -28,7 +28,6 @@ from rbswipt.sweep import (
     CSV_HEADER,
     MAX_STEPS,
     SweepSpec,
-    canonical_axis,
     emit_csv,
     emit_plot_data,
     run_sweep,
@@ -46,12 +45,34 @@ def small_sweep():
 
 
 def test_axis_canonicalization():
-    assert canonical_axis("R_M2") == "r_m2"
-    assert canonical_axis("P_in") == "p_in"
-    assert canonical_axis("d") == "d"
-    assert canonical_axis("l_s") == "l_s"
+    for name, axis, lo, hi in (("R_M2", "r_m2", 0.5, 0.9), ("P_in", "p_in", 0.0, 60.0),
+                               ("d", "d", 1.0, 2.0), ("l_s", "l_s", 1e-4, 1e-3)):
+        assert SweepSpec(axis=name, vmin=lo, vmax=hi, steps=3, params=PARAMS).axis == axis
     with pytest.raises(ConfigError):
-        canonical_axis("wavelength")
+        SweepSpec(axis="wavelength", vmin=1.0, vmax=2.0, steps=3, params=PARAMS)
+
+
+# every field but these is swept: n_s is an integer, gamma_diff and gamma_pd
+# may hold a model name, and no link stage reads the safety fields; each
+# paired with a range SystemParams accepts
+REFUSED = {"gamma_diff": (0.5, 0.9), "gamma_pd": (0.5, 0.9), "n_s": (1, 4),
+           "eta_p": (0.5, 0.9), "eta_t": (0.5, 0.9), "eta_a": (0.5, 0.9), "d_e": (0.05, 1.0),
+           "wavelength": (1.0, 2.0)}
+
+
+def test_sweep_refuses_what_no_stage_reads_as_a_float(capsys):
+    fields = [f.name for f in dataclasses.fields(SystemParams)]
+    assert AXES == tuple(f for f in fields if f not in REFUSED) and len(AXES) == 41
+    rule = ("a sweep axis is p_in or any float field a link stage reads, "
+            "not gamma_diff, gamma_pd, n_s, eta_p, eta_t, eta_a, d_e")
+    for name, (lo, hi) in REFUSED.items():
+        for value in (lo, hi) if name in fields else ():  # the ends themselves are valid
+            SystemParams(**{name: value})
+        with pytest.raises(ConfigError) as refused:
+            SweepSpec(axis=name, vmin=lo, vmax=hi, steps=5, params=PARAMS)
+        assert str(refused.value) == f"cannot sweep {name!r}: {rule}"
+        assert main(["--sweep", f"{name}:{lo}:{hi}:5"]) == 2, name
+        assert capsys.readouterr().err == f"configuration error: cannot sweep {name!r}: {rule}\n"
 
 
 def test_sweep_spec_validation(monkeypatch):
@@ -165,6 +186,10 @@ def test_crystal_length_sweep_lases_throughout():
 
 GRIDS = {"d": (0.45, 13.25), "p_in": (0.0, 120.0), "r_m2": (0.5, 1.0),
          "l_s": (0.0001, 0.006)}
+# with 9 steps, and every other axis in 5 steps from 0.9 of its default to the
+# default; psi, whose default is 0 (normal incidence), from 0 to 0.1 rad
+AXIS_GRIDS = {axis: (0.9 * getattr(PARAMS, axis), getattr(PARAMS, axis), 5) for axis in AXES}
+AXIS_GRIDS |= {axis: (lo, hi, 9) for axis, (lo, hi) in GRIDS.items()} | {"psi": (0.0, 0.1, 5)}
 
 # lasing, unstable, mostly dark, lasing, opaque; the third base's factor is the
 # capture of the multimode radius at the receiving pupil, 6 m out, with lens 1
@@ -178,9 +203,9 @@ PUMP_BASES = [SystemParams(), SystemParams(d=12.5),
 def test_rows_match_points_built_by_replace(axis):
     # a row runs the link's stages itself, so this equality is what ties it to
     # evaluate_link; the first base gives all three statuses across AXES
-    lo, hi = GRIDS[axis]
+    lo, hi, steps = AXIS_GRIDS[axis]
     for base in (SystemParams(p_in=80.0, l_s=1e-3, d=4.0), *PUMP_BASES):
-        rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=base))
+        rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=base))
         for value, result in rows:
             point = dataclasses.replace(base, **{axis: value})
             assert repr(result) == repr(evaluate_link(point)), (base, value)
@@ -349,11 +374,25 @@ BAD_ENDS = {
 }
 
 
+def _refused(axis, value):
+    try:
+        SystemParams(**{axis: value})
+    except ValueError:
+        return True
+    return False
+
+
+# every other axis: the candidates its constructor refuses
+BAD_ENDS.update({axis: tuple(v for v in (-1.0, 0.0, 1.5, 1e300) if _refused(axis, v))
+                 for axis in AXES if axis not in BAD_ENDS})
+
+
 @pytest.mark.parametrize("axis", AXES)
 def test_end_point_refusal_is_the_constructor_message(axis):
     # SweepSpec checks an end point as the record its row stands for, so its
     # refusal carries exactly the message SystemParams gives that value
     assert set(BAD_ENDS) == set(AXES)
+    assert BAD_ENDS[axis]
     good = getattr(PARAMS, axis)
     for bad in BAD_ENDS[axis]:
         with pytest.raises(ValueError) as constructed:
