@@ -7,11 +7,12 @@ objects of the link stages are built and validated once, when the parameters
 are constructed, and kept as attributes outside the dataclass fields.  Every
 field but the pump `p_in` and the safety fields feeds a spec; those are
 range-checked here, and the safety fields are read only by the `--safety`
-report.  So is a lossless cavity, which has no lasing threshold.  A sweep's end
-points pass through this constructor; for a row between them, `_row_specs`
-serves `link.evaluate_rows`: a row rebuilds only the spec objects that read its
-one field, with their other arguments taken from the base once per sweep, and
-shares the rest, so a row builds no record.
+report.  So is a lossless cavity, which has no lasing threshold.  `AXES` names
+the fields a sweep may vary.  A sweep's end points pass through this
+constructor; for a row between them, `_row_specs` serves `link.evaluate_rows`:
+a row rebuilds only the spec objects that read its one field, with their other
+arguments taken from the base once per sweep, and shares the rest, so a row
+builds no record.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -155,6 +156,13 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
 _READERS = {name: tuple(attr for attr, (_, names) in _SPECS.items() if name in names)
             for name in _FIELD_NAMES}
 _LOOSE = tuple(name for name, readers in _READERS.items() if not readers)
+_STRING_OK = {"gamma_diff", "gamma_pd"}
+_INT_FIELDS = {"n_s"}
+# the fields a sweep may vary: the pump and every float field a spec reads
+AXES = tuple(name for name, readers in _READERS.items()
+             if (readers or name == "p_in") and name not in _INT_FIELDS | _STRING_OK)
+AXIS_RULE = ("p_in or any float field a link stage reads, not "
+             + ", ".join(name for name in _FIELD_NAMES if name not in AXES))
 
 
 def _row_specs(base: SystemParams, name: str):
@@ -176,9 +184,6 @@ def _row_specs(base: SystemParams, name: str):
         return changes
     return row
 
-
-_STRING_OK = {"gamma_diff", "gamma_pd"}
-_INT_FIELDS = {"n_s"}
 
 # unit suffix -> SI multiplier; deg scales by pi/180, as math.radians does
 _UNITS: dict[str, float] = {

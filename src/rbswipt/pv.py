@@ -14,7 +14,8 @@ makes Newton steps overflow-prone), run down to bracket collapse so residuals
 sit at the floating-point floor.  The charging power P(v) = v*i(v) is strictly
 concave on [0, v_oc] (the proof is in `mppt`), so the maximum power point is
 found by one golden-section search over [0, v_oc], stopped once the bracket is
-narrower than 1e-9*v_oc.
+narrower than 1e-9*v_oc.  The search compares the solves' powers as floats and
+builds one OperatingPoint, for the point it returns.
 """
 
 from __future__ import annotations
@@ -147,6 +148,19 @@ def _bisect(func, lo: float, hi: float) -> float:
             hi = mid
 
 
+def _solve_circuit(i0: float, nvt: float, r_sh: float, r_s: float, i_ph: float,
+                   v_charge: float) -> tuple[float, float, float]:
+    """(p_charge, i_charge, v_d) at a prescribed charging voltage, from the
+    cell's fields; `solve_operating_point` without its checks and record."""
+
+    def residual(v_d: float) -> float:
+        return i_ph - _diode_current(i0, nvt, v_d) - v_d / r_sh - (v_d - v_charge) / r_s
+
+    v_d = _bisect(residual, 0.0, v_charge + i_ph * r_s)
+    i = (v_d - v_charge) / r_s
+    return v_charge * i, i, v_d
+
+
 def solve_operating_point(spec: PVSpec, i_ph: float, v_charge: float) -> OperatingPoint:
     """Circuit state at a prescribed charging voltage.
 
@@ -161,14 +175,8 @@ def solve_operating_point(spec: PVSpec, i_ph: float, v_charge: float) -> Operati
         raise ValueError("i_ph must be non-negative")
     if v_charge < 0.0:
         raise ValueError("v_charge must be non-negative")
-    i0, nvt, r_sh, r_s = spec.i0, spec.nvt, spec.r_sh, spec.r_s
-
-    def residual(v_d: float) -> float:
-        return i_ph - _diode_current(i0, nvt, v_d) - v_d / r_sh - (v_d - v_charge) / r_s
-
-    v_d = _bisect(residual, 0.0, v_charge + i_ph * r_s)
-    i = (v_d - v_charge) / r_s
-    return OperatingPoint(v_charge=v_charge, i_charge=i, p_charge=v_charge * i, v_d=v_d)
+    p, i, v_d = _solve_circuit(spec.i0, spec.nvt, spec.r_sh, spec.r_s, i_ph, v_charge)
+    return OperatingPoint(v_charge=v_charge, i_charge=i, p_charge=p, v_d=v_d)
 
 
 def open_circuit_voltage(spec: PVSpec, i_ph: float) -> float:
@@ -211,20 +219,24 @@ def mppt(spec: PVSpec, i_ph: float) -> OperatingPoint:
     The search stops once the bracket is narrower than 1e-9*v_oc, after
     _STEPS = 44 steps and 2 + 44 solves whatever i_ph is.  Each step keeps the
     better point of the pair and adds one, so the pair always holds the best
-    point solved so far, concave or not.
+    point solved so far, concave or not.  The steps compare charging powers
+    only; the one OperatingPoint built is the winner's.
     """
     v_oc = open_circuit_voltage(spec, i_ph)  # raises for i_ph < 0
+    i0, nvt, r_sh, r_s = spec.i0, spec.nvt, spec.r_sh, spec.r_s
     lo, hi = 0.0, v_oc
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    p1, p2 = solve_operating_point(spec, i_ph, x1), solve_operating_point(spec, i_ph, x2)
+    s1 = _solve_circuit(i0, nvt, r_sh, r_s, i_ph, x1)
+    s2 = _solve_circuit(i0, nvt, r_sh, r_s, i_ph, x2)
     for _ in range(_STEPS):
-        if p1.p_charge < p2.p_charge:
-            lo, x1, p1 = x1, x2, p2
+        if s1[0] < s2[0]:
+            lo, x1, s1 = x1, x2, s2
             x2 = lo + _GOLDEN * (hi - lo)
-            p2 = solve_operating_point(spec, i_ph, x2)
+            s2 = _solve_circuit(i0, nvt, r_sh, r_s, i_ph, x2)
         else:
-            hi, x2, p2 = x2, x1, p1
+            hi, x2, s2 = x2, x1, s1
             x1 = hi - _GOLDEN * (hi - lo)
-            p1 = solve_operating_point(spec, i_ph, x1)
-    return p2 if p2.p_charge >= p1.p_charge else p1
+            s1 = _solve_circuit(i0, nvt, r_sh, r_s, i_ph, x1)
+    v, (p, i, v_d) = (x2, s2) if s2[0] >= s1[0] else (x1, s1)
+    return OperatingPoint(v_charge=v, i_charge=i, p_charge=p, v_d=v_d)

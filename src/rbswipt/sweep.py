@@ -2,10 +2,10 @@
 
 A sweep varies one configuration field over a uniform grid and evaluates the
 full link at each point, in grid order (`link.evaluate_rows`).  The fields it
-may vary, `AXES`, follow from `params._READERS`: the pump `p_in` and every
-field a link stage reads, except the integer `n_s` and `gamma_diff` and
-`gamma_pd`, which may hold a model name.  The safety fields reach no stage, so
-a sweep of one would draw a flat line.  `SystemParams` checks the end points:
+may vary, `params.AXES`, are the pump `p_in` and every field a link stage
+reads, except the integer `n_s` and `gamma_diff` and `gamma_pd`, which may
+hold a model name.  The safety fields reach no stage, so a sweep of one would
+draw a flat line.  `SystemParams` checks the end points:
 every spec check is an interval in any one field, and r1*r2 at zero
 conversion is monotone in each, so valid ends bound every row.  The CSV
 layout is fixed:
@@ -26,12 +26,7 @@ import os
 import stat
 
 from .link import LinkResult, evaluate_rows
-from .params import _INT_FIELDS, _READERS, _STRING_OK, _UNIT_HINT, ConfigError, SystemParams
-
-AXES = tuple(name for name, readers in _READERS.items()
-             if (readers or name == "p_in") and name not in _INT_FIELDS | _STRING_OK)
-AXIS_RULE = ("p_in or any float field a link stage reads, not "
-             + ", ".join(name for name in _READERS if name not in AXES))
+from .params import _UNIT_HINT, AXES, AXIS_RULE, ConfigError, SystemParams
 
 MAX_STEPS = 1_000_000  # validation builds the whole grid, about 50 bytes a step
 

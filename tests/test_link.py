@@ -172,13 +172,14 @@ def count_calls(monkeypatch, names, params):
 
 
 # rigrod_p4: one call at eta = 0, then the safeguarded Illinois steps;
-# MPPT: 2 + ceil(ln 1e9 / ln(1/phi)) = 46 solves;
+# MPPT: 2 + ceil(ln 1e9 / ln(1/phi)) = 46 circuit solves, compared by power,
+# of which only the winner becomes an OperatingPoint;
 # _diode_current: 2 ends and the bisection midpoints per solve (50 to 55 calls
 # each), plus open_circuit_voltage (54)
 @pytest.mark.parametrize("d, counts", [
-    (6.0, {"resonator.rigrod_p4": 11, "pv.solve_operating_point": 46,
+    (6.0, {"resonator.rigrod_p4": 11, "pv._solve_circuit": 46,
            "pv._diode_current": 2534}),
-    (11.0, {"resonator.rigrod_p4": 15, "pv.solve_operating_point": 46,
+    (11.0, {"resonator.rigrod_p4": 15, "pv._solve_circuit": 46,
             "pv._diode_current": 2578}),
 ])
 def test_solver_call_counts(monkeypatch, d, counts):

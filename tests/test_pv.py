@@ -8,11 +8,14 @@ import pytest
 
 from rbswipt import pv
 from rbswipt.constants import E_CHARGE, K_BOLTZMANN
+from rbswipt.link import _cavity_stage, evaluate_link
+from rbswipt.params import SystemParams
 from rbswipt.pv import (
     OperatingPoint,
     PowerPath,
     PVSpec,
     _diode_current,
+    _solve_circuit,
     kirchhoff_residuals,
     mppt,
     open_circuit_voltage,
@@ -184,11 +187,12 @@ def test_mppt_returns_the_best_point_it_solved(monkeypatch):
     # returning the better of the final pair returns the best of all 46
     solved = []
 
-    def recording(*args):
-        solved.append(solve_operating_point(*args))
-        return solved[-1]
+    def recording(i0, nvt, r_sh, r_s, i_ph, v_charge):
+        p, i, v_d = _solve_circuit(i0, nvt, r_sh, r_s, i_ph, v_charge)
+        solved.append(OperatingPoint(v_charge=v_charge, i_charge=i, p_charge=p, v_d=v_d))
+        return p, i, v_d
 
-    monkeypatch.setattr(pv, "solve_operating_point", recording)
+    monkeypatch.setattr(pv, "_solve_circuit", recording)
     rng = np.random.default_rng(4242)
     cases = [(SPEC, I_PH), (SPEC, 1e-9)]
     cases += [(random_spec(rng), rng.uniform(0.05, 0.8)) for _ in range(10)]
@@ -196,8 +200,52 @@ def test_mppt_returns_the_best_point_it_solved(monkeypatch):
         solved.clear()
         op = mppt(spec, i_ph)
         assert len(solved) == 46
-        assert any(op is p for p in solved)
+        assert any(op == p for p in solved)
         assert op.p_charge == max(p.p_charge for p in solved)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+STEPS = math.ceil(math.log(1e9) / -math.log(GOLDEN))
+
+
+def _golden_reference(spec, i_ph):
+    """The golden section `mppt` ran when it built an OperatingPoint for each
+    of its 46 solves and compared the records, verbatim but for its constants,
+    which are kept here: the point it returns is the reference for `mppt`."""
+    v_oc = open_circuit_voltage(spec, i_ph)  # raises for i_ph < 0
+    lo, hi = 0.0, v_oc
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    p1, p2 = solve_operating_point(spec, i_ph, x1), solve_operating_point(spec, i_ph, x2)
+    for _ in range(STEPS):
+        if p1.p_charge < p2.p_charge:
+            lo, x1, p1 = x1, x2, p2
+            x2 = lo + GOLDEN * (hi - lo)
+            p2 = solve_operating_point(spec, i_ph, x2)
+        else:
+            hi, x2, p2 = x2, x1, p1
+            x1 = hi - GOLDEN * (hi - lo)
+            p1 = solve_operating_point(spec, i_ph, x1)
+    return p2 if p2.p_charge >= p1.p_charge else p1
+
+
+def test_mppt_is_the_record_search_bit_for_bit():
+    # 500 seeded cells with photocurrents from 1e-9 to 5 A, the reference cell
+    # at its 60 W photocurrent, at 1e-9 A and at zero, and the photocurrent of
+    # test_link::test_mppt_just_above_threshold: mppt returns the record search's
+    # point bit for bit, and that point is the public solve at its voltage
+    params = SystemParams()
+    _, _, threshold = _cavity_stage(params.geometry, params.gain, params.loss, params.shg)
+    near = dataclasses.replace(params, p_in=threshold * (1.0 + 1e-9))
+    assert STEPS == 44
+    rng = np.random.default_rng(2929)
+    cases = [(SPEC, I_PH), (SPEC, 1e-9), (SPEC, 0.0),
+             (near.pv, photo_current(near.pv, evaluate_link(near).p_recv_pt))]
+    cases += [(random_spec(rng), 10.0 ** rng.uniform(-9.0, 0.7)) for _ in range(500)]
+    for spec, i_ph in cases:
+        op = mppt(spec, i_ph)
+        assert repr(op) == repr(_golden_reference(spec, i_ph)), (spec, i_ph)
+        assert solve_operating_point(spec, i_ph, op.v_charge) == op, (spec, i_ph)
 
 
 def test_mppt_beats_neighbours_and_scans():
