@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import E_CHARGE, K_BOLTZMANN
+from .constants import E_CHARGE, K_BOLTZMANN, check_domains
 from .resonator import LossBudget
 
 
@@ -29,16 +29,7 @@ class ConcentratorSpec:
     psi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a_pd < math.inf:
-            raise ValueError("a_pd must be positive and finite")
-        if not 0.0 < self.psi_c <= math.pi / 2.0:
-            raise ValueError("psi_c must be in (0, pi/2]")
-        if not 1.0 <= self.n_c < math.inf:
-            raise ValueError("n_c must be >= 1 and finite")
-        if not 0.0 < self.t_s <= 1.0:
-            raise ValueError("t_s must be in (0, 1]")
-        if not 0.0 <= self.psi < math.inf:
-            raise ValueError("psi must be non-negative and finite")
+        check_domains(self, ("a_pd", "psi_c", "n_c", "t_s", "psi"))
         try:  # concentrator_gain divides n_c**2 by sin(psi_c)**2
             powers = (self.n_c**2, math.sin(self.psi_c) ** 2)
         except OverflowError:
@@ -60,9 +51,7 @@ class NoiseSpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        for name in ("b", "t", "r_il", "i_bk", "gamma"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        check_domains(self, ("b", "t", "r_il", "i_bk", "gamma"))
         if not noise_variance(self, 0.0) > 0.0:  # achievable_rate divides by it
             raise ValueError("the noise variance at zero signal, 2*e*i_bk*b + 4*k*t*b/r_il, "
                              "must be positive")
@@ -90,10 +79,7 @@ class CarrierPath:
                 raise ValueError(f"gamma_pd must be a number or 'auto', got {v!r}")
         elif not 0.0 < float(v) <= 1.0:
             raise ValueError(f"gamma_pd must be in (0, 1], got {v}")
-        for name in ("gamma_l4", "r_m5_2nu", "gamma_m2_2nu", "gamma_g_eom"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
+        check_domains(self, ("gamma_l4", "r_m5_2nu", "gamma_m2_2nu", "gamma_g_eom"))
 
 
 def concentrator_gain(spec: ConcentratorSpec) -> float:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import check_domains
+
 STABILITY_BOUNDARY_TOL = 1e-12  # |g1*g2 - 1| below this counts as marginal
 
 
@@ -42,13 +44,7 @@ class CavityGeometry:
     d: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.f < math.inf:
-            raise ValueError(f"focal length f must be positive and finite, got {self.f}")
-        if not 0.0 < self.l < math.inf:
-            raise ValueError(
-                f"lens-mirror interval l must be positive and finite, got {self.l}")
-        if not 0.0 <= self.d < math.inf:
-            raise ValueError(f"gap d must be non-negative and finite, got {self.d}")
+        check_domains(self, ("f", "l", "d"))
         # single_pass_abcd divides by f*f and squares (l - f)/f
         ratio = (self.l - self.f) / self.f
         if not (0.0 < self.f * self.f < math.inf and ratio * ratio < math.inf):

@@ -4,10 +4,12 @@ SystemParams is a flat record of every scalar the simulator needs (geometry,
 gain medium, doubling crystal, coatings, receiver optics, noise, photovoltaic
 cell, safety, pump power).  Field names double as config keys.  The spec
 objects of the link stages are built and validated once, when the parameters
-are constructed, and kept as attributes outside the dataclass fields.  Every
-field but the pump `p_in` and the safety fields feeds a spec; those are
-range-checked here, and the safety fields are read only by the `--safety`
-report.  So is a lossless cavity, which has no lasing threshold.  `AXES` names
+are constructed, and kept as attributes outside the dataclass fields.  Each
+field's own range is one interval of `constants.DOMAINS`, which every spec
+and this record check with `check_domains`.  Every field but the pump `p_in`
+and the safety fields feeds a spec; those are range-checked here, and the
+safety fields are read only by the `--safety` report.  So is a lossless
+cavity, which has no lasing threshold.  `AXES` names
 the fields a sweep may vary.  A sweep's end points pass through this
 constructor; for a row between them, `_row_specs` serves `link.evaluate_rows`:
 a row rebuilds only the spec objects that read its one field, with their other
@@ -27,6 +29,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .constants import check_domains
 from .it_channel import CarrierPath, ConcentratorSpec, NoiseSpec
 from .optics import CavityGeometry
 from .pv import PowerPath, PVSpec
@@ -50,25 +53,6 @@ _SPECS = {
                       ("pv", PVSpec), ("power_path", PowerPath),
                       ("carrier_path", CarrierPath))
 }
-
-
-def _check_loose(name: str, v) -> None:
-    """Range check of a field that no spec object reads: the pump and the
-    safety fields."""
-    if name == "d_e":
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"d_e must be positive and finite, got {v}")
-        try:  # the safety report divides by d_e**2 and multiplies by it
-            square = v**2
-        except OverflowError:
-            square = math.inf
-        if not 0.0 < square < math.inf:
-            raise ValueError(f"d_e**2 must be positive and finite, got d_e = {v}")
-    elif name == "p_in":
-        if not 0.0 <= v < math.inf:
-            raise ValueError(f"p_in must be non-negative and finite, got {v}")
-    elif not 0.0 < v <= 1.0:  # the pump-path efficiencies
-        raise ValueError(f"{name} must be in (0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +127,13 @@ class SystemParams:
         fields = vars(self)
         for attr, (cls, names) in _SPECS.items():
             fields[attr] = cls(*[fields[name] for name in names])  # names are in field order
-        for name in _LOOSE:
-            _check_loose(name, fields[name])
+        check_domains(self, _LOOSE)
+        try:  # the safety report divides by d_e**2 and multiplies by it
+            square = self.d_e**2
+        except OverflowError:
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ValueError(f"d_e**2 must be positive and finite, got d_e = {self.d_e}")
         # r1*r2 at zero conversion: a lossless cavity has no lasing threshold
         geom, gain, loss = self.geometry, self.gain, self.loss
         gamma_diff = resolve_gamma_diff(loss, geom, gain.a_g, gain.lam)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import C_LIGHT, E_CHARGE, H_PLANCK, K_BOLTZMANN
+from .constants import C_LIGHT, E_CHARGE, H_PLANCK, K_BOLTZMANN, check_domains
 from .resonator import LossBudget
 
 _EXP_CLAMP = 700.0  # exp argument cap, avoids overflow on wild brackets
@@ -48,11 +48,7 @@ class PVSpec:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("rho", "lam", "i0", "r_sh", "r_s", "n", "t"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 1 <= self.n_s < math.inf:
-            raise ValueError("n_s must be >= 1")
+        check_domains(self, ("rho", "lam", "i0", "r_sh", "r_s", "n", "n_s", "t"))
         if self.n_s != int(self.n_s):
             raise ValueError(f"n_s must be a whole number of cells, got {self.n_s!r}")
         if not self.nvt > 0.0:  # the diode exponential divides by it
@@ -83,10 +79,7 @@ class PowerPath:
     gamma_m5_nu: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma_pv", "gamma_l3", "gamma_m5_nu"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
+        check_domains(self, ("gamma_pv", "gamma_l3", "gamma_m5_nu"))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import C_LIGHT, EPSILON_0
+from .constants import C_LIGHT, EPSILON_0, check_domains
 from .optics import CavityGeometry
 
 
@@ -53,11 +53,7 @@ class GainMediumSpec:
     lam: float
 
     def __post_init__(self) -> None:
-        for name in ("i_s", "a_g", "l_g", "eta_c", "gamma_g", "lam"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.eta_c > 1.0 or self.gamma_g > 1.0:
-            raise ValueError("eta_c and gamma_g must be <= 1")
+        check_domains(self, ("i_s", "a_g", "l_g", "eta_c", "gamma_g", "lam"))
         try:  # the Rigrod balance and the doubling coefficient divide by each of these
             products = (math.pi * self.a_g**2, self.volume, self.i_s * self.volume,
                         EPSILON_0 * C_LIGHT * self.lam**2)
@@ -83,15 +79,7 @@ class SHGSpec:
     gamma_shg: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.d_eff < math.inf:
-            raise ValueError("d_eff must be non-negative and finite")
-        for name in ("l_s", "n0", "gamma_shg"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.n0 <= 1.0:
-            raise ValueError("n0 must exceed 1")
-        if self.gamma_shg > 1.0:
-            raise ValueError("gamma_shg must be <= 1")
+        check_domains(self, ("d_eff", "l_s", "n0", "gamma_shg"))
         try:  # shg_conversion_coefficient squares d_eff and l_s and cubes n0
             powers = (self.d_eff**2, self.l_s**2, self.n0**3)
         except OverflowError:
@@ -118,12 +106,7 @@ class LossBudget:
     gamma_diff: float | str = "model:farfield"
 
     def __post_init__(self) -> None:
-        for name in ("gamma_l1", "gamma_l2", "r_m1", "r_m2"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if not 0.0 <= self.alpha_air < math.inf:
-            raise ValueError("alpha_air must be non-negative and finite")
+        check_domains(self, ("gamma_l1", "gamma_l2", "r_m1", "r_m2", "alpha_air"))
         gd = self.gamma_diff
         if gd != "model:farfield" and (isinstance(gd, str) or not 0.0 < float(gd) <= 1.0):
             raise ValueError(f"gamma_diff must be in (0, 1] or 'model:farfield', got {gd!r}")
@@ -206,13 +189,6 @@ def shg_conversion_coefficient(shg: SHGSpec, lam: float) -> float:
         * shg.l_s**2
         / (EPSILON_0 * C_LIGHT * lam**2 * shg.n0**3)
     )
-
-
-def plane_wave_valid(shg: SHGSpec, w0: float, lam: float) -> bool:
-    """True when the crystal is shorter than the focal Rayleigh range
-    pi*w0^2/lam, i.e. the plane-wave doubling model is self-consistent.
-    Informational only; tight focusing setups commonly violate it."""
-    return shg.l_s < math.pi * w0 * w0 / lam
 
 
 def _round_trip(r1: float, r2: float) -> float:

@@ -6,8 +6,9 @@ may vary, `params.AXES`, are the pump `p_in` and every field a link stage
 reads, except the integer `n_s` and `gamma_diff` and `gamma_pd`, which may
 hold a model name.  The safety fields reach no stage, so a sweep of one would
 draw a flat line.  `SystemParams` checks the end points:
-every spec check is an interval in any one field, and r1*r2 at zero
-conversion is monotone in each, so valid ends bound every row.  The CSV
+every spec check is an interval in any one field (a field's own range is one
+interval of `constants.DOMAINS`), and r1*r2 at zero conversion is monotone in
+each, so valid ends bound every row.  The CSV
 layout is fixed:
 
     axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status
@@ -36,9 +37,10 @@ CSV_HEADER = "axis,P_recv_PT_W,P_recv_IT_W,P_charge_W,R_b_bits,eta_SHG,status"
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional sweep: `axis`, a name in `AXES` in any case, varied over
-    [vmin, vmax] in `steps` distinct points.  A range too narrow for that, whose
-    grid would repeat a value, or an end point that `SystemParams` refuses, is a
-    ConfigError."""
+    [vmin, vmax] in `steps` distinct points.  Any other axis, a string or not, a
+    range too narrow for that, whose grid would repeat a value, or an end point
+    that `SystemParams` refuses, such as one outside the axis's interval in
+    `constants.DOMAINS`, is a ConfigError."""
 
     axis: str
     vmin: float
@@ -51,7 +53,8 @@ class SweepSpec:
             object.__setattr__(self, "steps", operator.index(self.steps))
         except TypeError:
             raise ConfigError(f"sweep steps must be an integer, got {self.steps!r}") from None
-        object.__setattr__(self, "axis", self.axis.strip().lower())
+        if isinstance(self.axis, str):
+            object.__setattr__(self, "axis", self.axis.strip().lower())
         if self.axis not in AXES:
             raise ConfigError(f"cannot sweep {self.axis!r}: a sweep axis is {AXIS_RULE}")
         if self.steps < 2:
@@ -70,8 +73,9 @@ class SweepSpec:
             raise ConfigError(f"sweep range [{self.vmin!r}, {self.vmax!r}] is too narrow "
                               f"for {self.steps} distinct steps")
         # each end is checked as its row's record.  Every spec check is an
-        # interval in any one field: ((l - f)/f)**2, not monotone in f, still
-        # peaks at an end of any f or l interval.  r1*r2 at zero conversion and
+        # interval in any one field: each field's own range is one interval of
+        # constants.DOMAINS, and ((l - f)/f)**2, not monotone in f, still peaks
+        # at an end of any f or l interval.  r1*r2 at zero conversion and
         # gamma_diff are monotone in each field.  So valid ends make the grid valid
         for value in (self.vmin, self.vmax):
             try:

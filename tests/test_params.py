@@ -4,13 +4,17 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
 from rbswipt.cli import main
+from rbswipt.constants import DOMAINS
 from rbswipt.params import (
+    AXES,
     ConfigError,
     SystemParams,
+    _LOOSE,
     _READERS,
     _row_specs,
     format_defaults,
@@ -161,6 +165,51 @@ def test_path_refusal_texts(tmp_path, capsys):
         assert main(["--config", str(cfg)]) == 2, (name, value)
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"configuration error: {text}\n")
+
+
+DEFAULTS = SystemParams()
+# the 41 sweep axes and the 4 safety fields
+SCANNED = AXES + tuple(name for name in _LOOSE if name not in AXES)
+_MAGNITUDES = (5e-324, sys.float_info.max, *(10.0**k for k in range(-323, 309, 3)))
+
+
+def test_domains_name_every_numeric_field_and_word_each_refusal():
+    # one interval per field, for all but the two that may hold a model name;
+    # the float past each end is refused with the table's own words
+    fields = [f.name for f in dataclasses.fields(SystemParams)]
+    assert set(DOMAINS) == set(fields) - {"gamma_diff", "gamma_pd"} and len(DOMAINS) == 46
+    assert sorted(SCANNED) == sorted(set(DOMAINS) - {"n_s"})  # every float field
+    for name, (lo, hi, phrase) in DOMAINS.items():
+        assert lo <= getattr(DEFAULTS, name) <= hi, name
+        for past in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(ValueError) as refused:
+                SystemParams(**{name: past})
+            assert str(refused.value) == f"{name} must be {phrase}, got {past}"
+
+
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_accepted_values_are_one_run_inside_the_interval(name):
+    # What SystemParams accepts of one field is one interval within its
+    # DOMAINS entry, as SweepSpec's end-point argument needs: on a signed log
+    # grid over the whole double range, plus 0 and the floats at 1 and at the
+    # default, the accepted values are contiguous and lie in [lo, hi].
+    lo, hi, _ = DOMAINS[name]
+    default = getattr(DEFAULTS, name)
+    near = (1.0, default)
+    grid = sorted({0.0, *_MAGNITUDES, *(-m for m in _MAGNITUDES),
+                   *(math.nextafter(x, to) for x in near for to in (-math.inf, math.inf)),
+                   *near})
+    accepted = []
+    for k, value in enumerate(grid):
+        try:
+            SystemParams(**{name: value})
+        except ValueError:
+            continue
+        accepted.append(k)
+    assert accepted == list(range(accepted[0], accepted[-1] + 1)), name
+    assert lo <= grid[accepted[0]] and grid[accepted[-1]] <= hi, name
 
 
 # a valid value other than the default, for fields where 0.99 x default is not one

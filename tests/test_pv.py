@@ -64,7 +64,7 @@ def test_spec_validation_and_thermal_voltage():
                            rf"e\*lam/\(h\*c\) = {limit} A/W at lam = {lam!r} m, got {rho}$"):
             dataclasses.replace(SPEC, rho=rho, lam=lam)
     assert dataclasses.replace(SPEC, rho=0.86, lam=1100e-9).rho == 0.86  # limit 0.8872 A/W
-    with pytest.raises(ValueError, match="^lam must be positive and finite$"):
+    with pytest.raises(ValueError, match="^lam must be positive and finite, got nan$"):
         dataclasses.replace(SPEC, lam=math.nan)
 
 

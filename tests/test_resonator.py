@@ -19,7 +19,6 @@ from rbswipt.resonator import (
     diffraction_loss,
     equivalent_reflectances,
     lasing_threshold,
-    plane_wave_valid,
     resolve_gamma_diff,
     rigrod_p4,
     shg_conversion_coefficient,
@@ -148,12 +147,6 @@ def test_shg_conversion_coefficient_formula():
     double_l = SHGSpec(d_eff=4.7e-12, l_s=0.8e-3, n0=2.23, gamma_shg=0.99)
     assert math.isclose(shg_conversion_coefficient(double_l, GAIN.lam), 4.0 * k,
                         rel_tol=1e-12)
-
-
-def test_plane_wave_validity_flag():
-    # reference focus: Rayleigh range pi w0^2/lam ~ 0.3 mm < 0.4 mm crystal
-    assert not plane_wave_valid(SHG, W0, GAIN.lam)
-    assert plane_wave_valid(SHG, 2e-5, GAIN.lam)
 
 
 # -------------------------------------------------------------- power balance

@@ -25,6 +25,7 @@ from rbswipt.pv import PowerPath, PVSpec
 from rbswipt.resonator import GainMediumSpec, LossBudget, SHGSpec
 from rbswipt.sweep import (
     AXES,
+    AXIS_RULE,
     CSV_HEADER,
     MAX_STEPS,
     SweepSpec,
@@ -48,8 +49,10 @@ def test_axis_canonicalization():
     for name, axis, lo, hi in (("R_M2", "r_m2", 0.5, 0.9), ("P_in", "p_in", 0.0, 60.0),
                                ("d", "d", 1.0, 2.0), ("l_s", "l_s", 1e-4, 1e-3)):
         assert SweepSpec(axis=name, vmin=lo, vmax=hi, steps=3, params=PARAMS).axis == axis
-    with pytest.raises(ConfigError):
-        SweepSpec(axis="wavelength", vmin=1.0, vmax=2.0, steps=3, params=PARAMS)
+    for axis in ("wavelength", None, 5):  # the name of no field, or no name at all
+        with pytest.raises(ConfigError) as refused:
+            SweepSpec(axis=axis, vmin=1.0, vmax=2.0, steps=3, params=PARAMS)
+        assert str(refused.value) == f"cannot sweep {axis!r}: a sweep axis is {AXIS_RULE}"
 
 
 # every field but these is swept: n_s is an integer, gamma_diff and gamma_pd
@@ -404,13 +407,13 @@ def test_pump_sweep_rows_check_no_loose_field(monkeypatch):
     # no spec reads p_in: its end points went through SystemParams and its
     # range is an interval, so a row needs no check of its own
     checked = []
-    check_loose = params_module._check_loose
+    check_domains = params_module.check_domains
 
-    def counting(name, value):
-        checked.append(name)
-        check_loose(name, value)
+    def counting(obj, names):
+        checked.extend(names)
+        check_domains(obj, names)
 
-    monkeypatch.setattr(params_module, "_check_loose", counting)
+    monkeypatch.setattr(params_module, "check_domains", counting)
     spec = SweepSpec(axis="p_in", vmin=0.0, vmax=27.0, steps=600, params=PARAMS)
     assert checked.count("p_in") == 2  # the two end points, built by SystemParams
     checked.clear()
