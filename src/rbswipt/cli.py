@@ -12,13 +12,11 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .link import LinkResult, evaluate_link
 from .params import ConfigError, format_defaults, load_params
-from .safety import (absorbed_pump_power, angular_subtense, max_safe_source_power,
-                     mpe_extended_source, spontaneous_irradiance)
+from .safety import exposure
 from .sweep import AXIS_RULE, SweepSpec, emit_csv, emit_plot_data, run_sweep
 
 EXIT_OK = 0
@@ -66,17 +64,10 @@ def _print_link(result: LinkResult) -> None:
 
 
 def _print_safety(params) -> None:
-    p_a = absorbed_pump_power(params, params.p_in)
-    irr = spontaneous_irradiance(params, params.p_in)
-    alpha = angular_subtense(params)
     try:
-        mpe = mpe_extended_source(params.lam, alpha)
-    except ValueError as exc:  # a wavelength outside the band the MPE covers
+        p_a, irr, alpha, mpe, p_a_safe, p_in_safe = exposure(params)
+    except ValueError as exc:  # outside the MPE's band, or past the double range
         raise ConfigError(str(exc)) from None
-    p_a_safe, p_in_safe = max_safe_source_power(params)
-    if not all(math.isfinite(x) for x in (p_a, irr, alpha, mpe, p_a_safe, p_in_safe)):
-        raise ConfigError("the safety report of this configuration leaves the double "
-                          "range; check p_in, d_e, a_g and eta_p*eta_t*eta_a")
     verdict = "SAFE" if params.p_in <= p_in_safe else "EXCEEDS LIMIT"
     print(f"electrical pump power       P_in      = {params.p_in:.6g} W")
     print(f"absorbed pump power         P_a       = {p_a:.6g} W")

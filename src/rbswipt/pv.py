@@ -1,8 +1,9 @@
 """Power branch: beam extraction, single-diode photovoltaic model and MPPT.
 
 The fundamental-wavelength beam extracted through the output mirror is focused
-onto a photovoltaic cell modelled by the standard single-diode equivalent
-circuit (photocurrent source, diode, shunt and series resistances).  The
+onto a string of n_s photovoltaic cells in series, which share it, modelled by
+the standard single-diode equivalent circuit (photocurrent source, diode,
+shunt and series resistances) with photocurrent i_ph = rho*P/n_s.  The
 operating point for a given charging voltage follows from Kirchhoff's laws:
 
     i = i_ph - i_d - v_d/r_sh
@@ -33,10 +34,13 @@ _STEPS = math.ceil(math.log(1e9) / -math.log(_GOLDEN))  # 44 steps to a bracket 
 
 @dataclass(frozen=True)
 class PVSpec:
-    """Single-diode cell: responsivity rho [A/W] at the beam wavelength
+    """Single-diode string: responsivity rho [A/W] at the beam wavelength
     lam [m], reverse saturation current i0 [A], shunt/series resistances
-    r_sh/r_s [Ohm], ideality factor n, series cell count n_s, temperature
-    t [K]."""
+    r_sh/r_s [Ohm], ideality factor n, temperature t [K], and n_s, the number
+    of identical cells in series that share the one beam.  The string is one
+    diode with junction scale n_s*n*v_t, fed the current of one cell, which
+    is lit by 1/n_s of the beam (De Soto, Klein & Beckman, Solar Energy 80,
+    78, 2006); so n_s raises the voltage and not the power."""
 
     rho: float
     lam: float
@@ -106,10 +110,12 @@ def received_pt_power(p2: float, path: PowerPath, loss: LossBudget, gamma_air: f
 
 
 def photo_current(spec: PVSpec, p_recv_pt: float) -> float:
-    """Photocurrent i_ph = rho * P."""
+    """String photocurrent i_ph = rho * P / n_s: the beam P is shared by the
+    n_s series cells, so each is lit by P/n_s, and the string carries the
+    current of one of them."""
     if p_recv_pt < 0.0:
         raise ValueError("p_recv_pt must be non-negative")
-    return spec.rho * p_recv_pt
+    return spec.rho * p_recv_pt / spec.n_s
 
 
 def _diode_current(i0: float, nvt: float, v_d: float) -> float:

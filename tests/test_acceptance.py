@@ -93,14 +93,14 @@ def test_criterion_2_geometry():
 
 
 def test_criterion_3_safety_arithmetic():
-    from rbswipt.safety import absorbed_pump_power, max_safe_source_power, \
-        spontaneous_irradiance
+    from rbswipt.safety import exposure
 
+    p_a, irradiance, _, _, p_a_safe, p_in_safe = exposure(DEFAULT)  # at 60 W
     checks = {
-        "P_a": (absorbed_pump_power(DEFAULT, 60.0), 40.5),
-        "irradiance": (spontaneous_irradiance(DEFAULT, 60.0), 0.0645 * 1e4),
-        "P_a_safe": (max_safe_source_power(DEFAULT)[0], 84.77),
-        "P_in_safe": (max_safe_source_power(DEFAULT)[1], 125.46),
+        "P_a": (p_a, 40.5),
+        "irradiance": (irradiance, 0.0645 * 1e4),
+        "P_a_safe": (p_a_safe, 84.77),
+        "P_in_safe": (p_in_safe, 125.46),
     }
     for name, (got, target) in checks.items():
         assert abs(got - target) <= 0.01 * target, (name, got, target)

@@ -24,6 +24,13 @@ box widened with the loss factors.
 across the design box against `evaluate_link` of its point;
 `test_other_axis_sweep_rows_are_whole_evaluations` does the same for every
 other sweep axis.
+
+`test_every_field_at_once_gives_a_physical_link` leaves the box: it draws
+every numeric field of `constants.DOMAINS` at once, each within a factor 10
+of its default (of its loss for an (0, 1] field), the gap up to 5% past the
+stability edge and strings of 1 to 64 cells, and checks that the outputs
+are finite and non-negative, that the light received stays within what was
+sent, and that the cell gives at most one electron per photon.
 """
 
 import dataclasses
@@ -39,6 +46,7 @@ from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rbswipt import optics, resonator  # noqa: E402
+from rbswipt.constants import C_LIGHT, DOMAINS, E_CHARGE, H_PLANCK  # noqa: E402
 from rbswipt.link import evaluate_link  # noqa: E402
 from rbswipt.params import ConfigError, SystemParams  # noqa: E402
 from rbswipt.pv import (PVSpec, open_circuit_voltage, photo_current,  # noqa: E402
@@ -289,3 +297,62 @@ def test_other_axis_sweep_rows_are_whole_evaluations(base, ends, steps):
         for value, result in run_sweep(spec):
             point = dataclasses.replace(base, **{axis: value})
             assert repr(result) == repr(evaluate_link(point)), (axis, value)
+
+
+# ------------------------------------------------------------- whole domain
+
+SPAN = 10.0  # a float field is drawn from its default /SPAN to *SPAN
+# every numeric field drawn by scaling its default, less those drawn apart:
+# the geometry by its stability edge, rho under the quantum limit at the drawn
+# wavelength, and the whole cell count n_s
+SCALED = tuple(name for name in DOMAINS if name not in ("f", "l", "d", "rho", "n_s"))
+
+
+def _scaled(name, u):
+    """The default of `name` scaled by SPAN**u, u in [-1, 1], or for an
+    (0, 1] field its loss 1 - v so scaled, clipped into its interval."""
+    lo, hi, _ = DOMAINS[name]
+    v = getattr(BASE, name)
+    v = 1.0 - (1.0 - v) * SPAN**u if hi == 1.0 else v * SPAN**u
+    return min(max(v, lo), hi)
+
+
+def _whole_domain_params(u, edge, n_s):
+    fields = {name: _scaled(name, u[name]) for name in SCALED}
+    f = _scaled("f", u["f"])
+    l = f + (BASE.l - BASE.f) * SPAN ** u["l"]
+    # d from 0 to 5% past the stability edge 4*f_rr
+    fields.update(f=f, l=l, d=edge * 4.0 * optics.rr_focal_length(f, l), n_s=n_s)
+    limit = E_CHARGE * fields["lam"] / (H_PLANCK * C_LIGHT)  # PVSpec's one electron per photon
+    fields["rho"] = min(_scaled("rho", u["rho"]), limit)
+    return SystemParams(**fields)
+
+
+whole_domain = st.builds(
+    _whole_domain_params,
+    st.fixed_dictionaries({name: st.floats(-1.0, 1.0) for name in (*SCALED, "f", "l", "rho")}),
+    st.floats(0.0, 1.05), st.integers(1, 64))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(whole_domain)
+def test_every_field_at_once_gives_a_physical_link(params):
+    r = evaluate_link(params)
+    outputs = [getattr(r, name) for name in NUMERIC]
+    assert all(math.isfinite(x) and x >= 0.0 for x in outputs), r
+    if r.status in DARK:
+        assert not any(outputs), r
+        return
+    geom, gain = params.geometry, params.gain
+    gamma_diff = resonator.resolve_gamma_diff(params.loss, geom, gain.a_g, gain.lam)
+    w0 = optics.beam_radius(optics.cavity_mode(geom, gain.a_g, gain.lam), 0.0)
+    sol = resonator.solve_intracavity(gain, params.shg, params.loss, params.p_in, w0,
+                                      gamma_diff, geom.d)
+    assert r.p_recv_pt <= params.eta_c * params.p_in
+    assert r.p_recv_it <= sol.p_c
+    # each of the n_s cells is lit by P_recv_PT/n_s and gives at most one
+    # electron per photon, so the string's current is at most
+    # e*lam/(h*c)*P_recv_PT/n_s; the slack covers the rounding of the charge
+    photon_voltage = H_PLANCK * C_LIGHT / (E_CHARGE * params.lam)
+    ceiling = r.v_mpp / (params.n_s * photon_voltage) * r.p_recv_pt
+    assert r.p_hat_charge <= ceiling * (1.0 + 1e-12), (r, ceiling)

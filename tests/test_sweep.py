@@ -757,6 +757,26 @@ def test_cli_safety_extreme_finite_field_exits_cleanly(tmp_path, capsys, name, v
         assert out == ""  # nothing of the report is printed before the refusal
 
 
+def test_cli_safety_extreme_field_pairs_exit_cleanly(tmp_path, capsys):
+    # two extremes at once, of the fields the report reads: two efficiencies
+    # at 5e-324 or 1e-320 multiply to 0, which the report must not divide by
+    cfg = tmp_path / "pair.cfg"
+    fields = ("eta_p", "eta_t", "eta_a", "d_e", "a_g", "p_in")
+    for k, first in enumerate(fields):
+        for second in fields[k + 1:]:
+            for a in _EXTREME_VALUES:
+                for b in _EXTREME_VALUES:
+                    cfg.write_text(f"{first} = {a}\n{second} = {b}\n", encoding="utf-8")
+                    code = main(["--config", str(cfg), "--safety"])
+                    out = capsys.readouterr().out
+                    case = (first, a, second, b)
+                    assert code in (0, 2), case
+                    if code == 0:
+                        assert "inf" not in out and "nan" not in out, (case, out)
+                    else:
+                        assert out == "", case
+
+
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     for flag, target in (("--csv", tmp_path / "no" / "dir" / "out.csv"),  # no such directory
                          ("--svg", tmp_path)):  # a directory
