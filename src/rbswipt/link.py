@@ -1,8 +1,9 @@
 """End-to-end link evaluation: pump power in, charging power and rate out.
 
-`evaluate_link` composes two stages with one comparison between them.  The
-cavity stage, `_cavity_stage`, reads only the geometry, gain, loss and crystal
-specs (`_CAVITY_SPECS`):
+`evaluate_link` composes two stages with one comparison between them.  Both
+stages read one mapping of field names and spec attributes to their values, a
+record's `vars`.  The cavity stage, `_cavity_stage`, reads of it only the
+geometry, gain, loss and crystal specs:
 
 1. cavity stability (an unstable or marginal cavity is dark);
 2. the diffraction factor and the equivalent reflectances at eta = 0;
@@ -12,7 +13,7 @@ It returns (dark result, gamma_diff, threshold) for every cavity, with an
 infinite threshold for an unstable one, as for an opaque one.  Stage 4, the one
 dark decision, is a comparison: a point is dark exactly when its pump is at
 most the threshold.  Only a point that lases reaches `_lasing_stage`, which
-reads the spec objects by name and the pump, and no parameter record:
+reads the spec objects and the pump by name:
 
 5. the cavity mode, solved once, its radius w0 at the doubling crystal, and
    the intracavity powers with frequency doubling;
@@ -24,11 +25,10 @@ reads the spec objects by name and the pump, and no parameter record:
 
 The threshold comes before the mode because it does not depend on w0: a dark
 point pays only for the tests that make it dark.  `evaluate_rows` runs the
-same stages over the rows of a one-field sweep: a row rebuilds only the specs
-its value feeds (`params._row_specs`), a field the cavity stage does not read
-(`_CAVITY_FIELDS`; `l_s`, `d_eff` and `n0` among them) shares the base's
-cavity stage, and only a row that lases merges its rebuilt specs into the
-base's.
+same stages over the rows of a one-field sweep on one copy of the base's
+mapping: a row writes its value and rebuilds, in place, only the specs that
+read it, and a field the cavity stage does not read (`_CAVITY_FIELDS`; `l_s`,
+`d_eff` and `n0` among them) shares the base's cavity stage.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from . import it_channel, optics, pv, resonator
-from .params import _READERS, _SPECS, SystemParams, _row_specs
+from .params import _READERS, _SPECS, SystemParams
 
 
 @dataclass(frozen=True)
@@ -60,36 +60,37 @@ _BELOW_THRESHOLD = LinkResult(p_recv_pt=0.0, p_recv_it=0.0, p_hat_charge=0.0,
                               r_b=0.0, v_mpp=0.0, eta_shg=0.0, status="below_threshold")
 
 
-# the spec objects the cavity stage reads, and the fields it reads of them: at
-# eta = 0 it reads of the crystal only gamma_shg
-_CAVITY_SPECS = ("geometry", "gain", "loss", "shg")
+# the fields the cavity stage reads, through the geometry, gain, loss and
+# crystal specs: at eta = 0 it reads of the crystal only gamma_shg
 _CAVITY_FIELDS = frozenset(("gamma_shg", *_SPECS["geometry"][1], *_SPECS["gain"][1],
                             *_SPECS["loss"][1]))
 
 
-def _cavity_stage(geometry: optics.CavityGeometry, gain: resonator.GainMediumSpec,
-                  loss: resonator.LossBudget,
-                  shg: resonator.SHGSpec) -> tuple[LinkResult, float, float]:
+def _cavity_stage(specs: dict) -> tuple[LinkResult, float, float]:
     """Stages 1-3: the dark result, the resolved diffraction factor and the
     threshold pump; a point is dark exactly when its pump is at most the
-    threshold, which is infinite for an unstable cavity."""
+    threshold, which is infinite for an unstable cavity.  `specs` maps each
+    field and each spec attribute of `params._SPECS` to its value, as a
+    record's `vars` does."""
+    geometry, gain, loss = specs["geometry"], specs["gain"], specs["loss"]
     # a marginal cavity confines no Gaussian mode either, so it is dark too
     if optics.stability_check(geometry) != "stable":
         return _UNSTABLE, math.nan, math.inf
 
     gamma_diff = resonator.resolve_gamma_diff(loss, geometry, gain.a_g, gain.lam)
-    r1, r2 = resonator.equivalent_reflectances(loss, shg, gain, 0.0, geometry.d, gamma_diff)
+    r1, r2 = resonator.equivalent_reflectances(loss, specs["shg"], gain, 0.0, geometry.d,
+                                               gamma_diff)
     return _BELOW_THRESHOLD, gamma_diff, resonator.lasing_threshold(gain, r1, r2)
 
 
-def _lasing_stage(gamma_diff: float, p_in: float, specs: dict) -> LinkResult:
-    """Stages 5-7 of a point that lases at pump `p_in`, with the cavity stage's
-    `gamma_diff`; `specs` maps each spec attribute of `params._SPECS` to its
-    object, as a record's `vars` does."""
+def _lasing_stage(gamma_diff: float, specs: dict) -> LinkResult:
+    """Stages 5-7 of a point that lases, with the cavity stage's `gamma_diff`;
+    `specs` is the cavity stage's mapping, and also gives the pump `p_in`."""
     geom, gain, loss = specs["geometry"], specs["gain"], specs["loss"]
     mode = optics.cavity_mode(geom, gain.a_g, gain.lam)
     w0 = optics.beam_radius(mode, 0.0)
-    sol = resonator.solve_intracavity(gain, specs["shg"], loss, p_in, w0, gamma_diff, geom.d)
+    sol = resonator.solve_intracavity(gain, specs["shg"], loss, specs["p_in"], w0, gamma_diff,
+                                      geom.d)
     gamma_air = resonator.air_transmittance(loss.alpha_air, geom.d)
 
     # power channel: fundamental leakage through the output coupler
@@ -114,29 +115,32 @@ def _lasing_stage(gamma_diff: float, p_in: float, specs: dict) -> LinkResult:
 
 def evaluate_link(params: SystemParams) -> LinkResult:
     """Evaluate the full transfer chain for one configuration."""
-    dark, gamma_diff, threshold = _cavity_stage(params.geometry, params.gain,
-                                                params.loss, params.shg)
-    p_in = params.p_in
-    return dark if p_in <= threshold else _lasing_stage(gamma_diff, p_in, vars(params))
+    specs = vars(params)
+    dark, gamma_diff, threshold = _cavity_stage(specs)
+    return dark if params.p_in <= threshold else _lasing_stage(gamma_diff, specs)
 
 
 def evaluate_rows(base: SystemParams, name: str, values) -> list[LinkResult]:
     """`evaluate_link` of `base` with field `name` set to each of `values`, in
-    order.  A row's spec constructors check its value; `p_in`, which no spec
-    reads, is passed as it is, so the caller bounds it."""
-    row_specs = _row_specs(base, name)
-    specs = [getattr(base, attr) for attr in _CAVITY_SPECS]
-    slots = [(k, attr) for k, attr in enumerate(_CAVITY_SPECS)
-             if name in _CAVITY_FIELDS and attr in _READERS[name]]
-    shared = None if slots else _cavity_stage(*specs)  # no row changes what it reads
-    record, p_in = vars(base), base.p_in
+    order.  One copy of `vars(base)` serves every row: a row writes its value
+    and rebuilds each spec that reads `name` through its validating
+    constructor, in `params._SPECS` order, from arguments read from `base`
+    once, so the stages see the mapping of `dataclasses.replace(base,
+    **{name: value})`.  `p_in`, which no spec reads, is written as it is, so
+    the caller bounds it."""
+    specs = dict(vars(base))
+    builds = []  # (attr, class, argument list, the slot of `name` in it)
+    for attr in _READERS[name]:
+        cls, names = _SPECS[attr]
+        builds.append((attr, cls, [specs[f] for f in names], names.index(name)))
+    shared = None if name in _CAVITY_FIELDS else _cavity_stage(specs)
     results = []
     for value in values:
-        changes = row_specs(value)
-        for k, attr in slots:
-            specs[k] = changes[attr]
-        dark, gamma_diff, threshold = shared or _cavity_stage(*specs)
-        pump = changes.get("p_in", p_in)
-        results.append(dark if pump <= threshold
-                       else _lasing_stage(gamma_diff, pump, {**record, **changes}))
+        specs[name] = value
+        for attr, cls, args, slot in builds:
+            args[slot] = value
+            specs[attr] = cls(*args)
+        dark, gamma_diff, threshold = shared or _cavity_stage(specs)
+        results.append(dark if specs["p_in"] <= threshold
+                       else _lasing_stage(gamma_diff, specs))
     return results

@@ -11,10 +11,7 @@ and the safety fields feeds a spec; those are range-checked here, and the
 safety fields are read only by the `--safety` report.  So is a lossless
 cavity, which has no lasing threshold.  `AXES` names
 the fields a sweep may vary.  A sweep's end points pass through this
-constructor; for a row between them, `_row_specs` serves `link.evaluate_rows`:
-a row rebuilds only the spec objects that read its one field, with their other
-arguments taken from the base once per sweep, and shares the rest, so a row
-builds no record.
+constructor.
 
 Config files are plain text, one `key = value` assignment per line, `#`
 comments allowed.  Values may carry a unit suffix (`f = 3 cm`,
@@ -43,8 +40,8 @@ class ConfigError(ValueError):
 
 # spec attribute -> (class, the fields it reads).  Each spec class names its
 # fields after the config keys it is built from, and this table is the one
-# record of which field feeds which spec: SystemParams and _row_specs both
-# build from it.
+# record of which field feeds which spec: SystemParams and
+# link.evaluate_rows both build from it.
 _SPECS = {
     attr: (cls, tuple(f.name for f in dataclasses.fields(cls)))
     for attr, cls in (("geometry", CavityGeometry), ("gain", GainMediumSpec),
@@ -152,26 +149,6 @@ AXES = tuple(name for name, readers in _READERS.items()
              if (readers or name == "p_in") and name not in _INT_FIELDS | _STRING_OK)
 AXIS_RULE = ("p_in or any float field a link stage reads, not "
              + ", ".join(name for name in _FIELD_NAMES if name not in AXES))
-
-
-def _row_specs(base: SystemParams, name: str):
-    """The function `link.evaluate_rows` calls with a row's value of `name`: it
-    returns the fields that value changes, `name` and the specs that read it,
-    each rebuilt by its constructor, which validates the value; `p_in`, which
-    no spec reads, is bounded by the sweep's end points.  It reads `base` once,
-    then writes only `name`'s slots."""
-    builds = []  # (attr, class, argument list, the slot of `name` in it)
-    for attr in _READERS[name]:
-        cls, names = _SPECS[attr]
-        builds.append((attr, cls, [getattr(base, f) for f in names], names.index(name)))
-
-    def row(value):
-        changes = {name: value}
-        for attr, cls, args, slot in builds:
-            args[slot] = value
-            changes[attr] = cls(*args)
-        return changes
-    return row
 
 
 # unit suffix -> SI multiplier; deg scales by pi/180, as math.radians does

@@ -60,7 +60,8 @@ def exposure(params: SystemParams) -> tuple[float, float, float, float, float, f
     P_a_safe and P_in_safe are the largest absorbed and electrical pump
     powers whose irradiance at d_e stays at the MPE.  Raises ValueError for
     a wavelength outside the MPE's band, and for a number past the double
-    range, an efficiency product that underflows to 0 among them.
+    range, among them an efficiency product that underflows to 0 and an
+    alpha that overflows in mrad, the unit the report prints.
     """
     eta = params.eta_p * params.eta_t * params.eta_a
     p_a = eta * params.p_in
@@ -70,7 +71,7 @@ def exposure(params: SystemParams) -> tuple[float, float, float, float, float, f
     p_a_safe = mpe * 4.0 * math.pi * params.d_e**2 / 2.0
     # a zero efficiency product would put P_in_safe past the range too
     report = (p_a, irradiance, alpha, mpe, p_a_safe, p_a_safe / eta if eta else math.inf)
-    if not all(math.isfinite(x) for x in report):
+    if not all(math.isfinite(x) for x in (*report, alpha * 1e3)):
         raise ValueError("the safety report of this configuration leaves the double range; "
                          "check p_in, d_e, a_g and eta_p*eta_t*eta_a")
     return report

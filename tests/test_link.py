@@ -96,8 +96,9 @@ NUMERIC_BASES = {"gamma_diff": SystemParams(gamma_diff=0.8),
 
 
 def test_rows_of_every_field_equal_whole_evaluations():
-    # A row's lasing stage reads the base's specs merged with the row's rebuilt
-    # ones; a row that read a base spec in place of its own would show here.
+    # A row's stages read the sweep's one mapping, updated with the row's
+    # rebuilt specs; a row that read a base spec in place of its own would
+    # show here.
     # Every numeric field but n_s, at 0.5, 0.9, 1 and 1.1 times its value on
     # the base where that is valid; the default point lases.
     rows = 0
@@ -209,7 +210,7 @@ def test_mppt_just_above_threshold(monkeypatch):
         import oracle
     finally:
         sys.path.pop(0)
-    _, _, threshold = _cavity_stage(DEFAULT.geometry, DEFAULT.gain, DEFAULT.loss, DEFAULT.shg)
+    _, _, threshold = _cavity_stage(vars(DEFAULT))
     near = dataclasses.replace(DEFAULT, p_in=threshold * (1.0 + 1e-9))
     names = ["pv._diode_current"]
     r, seen = count_calls(monkeypatch, names, near)

@@ -8,15 +8,16 @@ import sys
 
 import pytest
 
+from rbswipt import link
 from rbswipt.cli import main
 from rbswipt.constants import DOMAINS
+from rbswipt.link import _CAVITY_FIELDS
 from rbswipt.params import (
     AXES,
     ConfigError,
     SystemParams,
     _LOOSE,
     _READERS,
-    _row_specs,
     format_defaults,
     load_params,
     parse_config_text,
@@ -216,36 +217,64 @@ def test_accepted_values_are_one_run_inside_the_interval(name):
 OTHER_VALUE = {"gamma_diff": 0.8, "gamma_pd": 0.5, "n_s": 2, "psi": 0.1}
 
 
-def test_row_builder_matches_the_constructor():
+def _stage_mappings(monkeypatch):
+    """A function that runs `link.evaluate_rows` and returns copies of the
+    mappings its cavity and lasing stages received, each list in call order.
+    The stages are replaced by recorders; the cavity one returns a threshold
+    of -inf, so every row goes on to the lasing one."""
+    cavity, lasing = [], []
+
+    def cavity_stage(specs):
+        cavity.append(dict(specs))
+        return None, math.nan, -math.inf
+
+    def lasing_stage(gamma_diff, specs):
+        lasing.append(dict(specs))
+
+    monkeypatch.setattr(link, "_cavity_stage", cavity_stage)
+    monkeypatch.setattr(link, "_lasing_stage", lasing_stage)
+
+    def run(base, name, values):
+        cavity.clear()
+        lasing.clear()
+        link.evaluate_rows(base, name, values)
+        return list(cavity), list(lasing)
+    return run
+
+
+def test_row_builder_matches_the_constructor(monkeypatch):
     base = SystemParams()
+    rows = _stage_mappings(monkeypatch)
     for field in dataclasses.fields(SystemParams):
         name = field.name
         value = OTHER_VALUE[name] if name in OTHER_VALUE else getattr(base, name) * 0.99
-        changes = _row_specs(base, name)(value)
-        ref = dataclasses.replace(base, **{name: value})
-        assert changes.keys() == {name, *_READERS[name]}
-        assert changes[name] == value != getattr(base, name)
-        # the base's entries merged with the row's are the record replace builds
-        assert {**vars(base), **changes} == vars(ref), name
-        for attr in SPECS:
-            spec = changes.get(attr, getattr(base, attr))
-            assert spec == getattr(ref, attr), (name, attr)
-            reads = name in {f.name for f in dataclasses.fields(spec)}
-            assert (attr in changes) is reads, (name, attr)
+        assert value != getattr(base, name)
+        ref = vars(dataclasses.replace(base, **{name: value}))
+        cavity, lasing = rows(base, name, [value])
+        # the mapping each stage reads is the record replace builds; a field
+        # the cavity stage does not read shares the base's one cavity stage
+        assert lasing == [ref], name
+        assert cavity == ([ref] if name in _CAVITY_FIELDS else [vars(base)]), name
+        for attr in SPECS:  # a row rebuilds only the specs that read its field
+            reads = name in {f.name for f in dataclasses.fields(getattr(base, attr))}
+            assert (lasing[0][attr] is not getattr(base, attr)) is reads, (name, attr)
         if not _READERS[name]:  # passed through: a sweep checks its end points
             continue
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError) as built:
-                _row_specs(base, name)(bad)
+                link.evaluate_rows(base, name, [bad])
             with pytest.raises(ValueError) as constructed:
                 SystemParams(**{name: bad})
             assert str(built.value) == str(constructed.value), (name, bad)
     for name, bad in QUANTUM_LIMIT_BREACHES:  # checks that read two fields
         with pytest.raises(ValueError) as built:
-            _row_specs(base, name)(bad)
+            link.evaluate_rows(base, name, [bad])
         with pytest.raises(ValueError) as constructed:
             SystemParams(**{name: bad})
         assert str(built.value) == str(constructed.value), (name, bad)
+    for name in ("bogus", "geometry"):  # not a field, and a spec attribute
+        with pytest.raises(KeyError):
+            link.evaluate_rows(base, name, [1.0])
 
 
 # three more valid values, for fields where a fraction of the default is not one
@@ -253,33 +282,26 @@ OTHER_VALUES = {"gamma_diff": (0.7, 0.8, 0.9), "gamma_pd": (0.3, 0.5, 0.7), "n_s
                 "psi": (0.05, 0.1, 0.15)}
 
 
-def test_row_function_keeps_no_state_between_rows():
-    # One row function serves a whole sweep and writes each value into
-    # argument lists it reuses, so no row may see an earlier row's value: not
-    # after rows in reverse order, nor after a row that was refused.  `t` and
-    # `lam` each feed two specs.
+def test_row_function_keeps_no_state_between_rows(monkeypatch):
+    # One mapping serves a whole sweep, and each row writes its value into it
+    # and into argument lists it reuses, so no row may see an earlier row's
+    # value, in reverse order too, and the sweep leaves the base as it was.
+    # `t` and `lam` each feed two specs.
     base = SystemParams()
+    before = dict(vars(base))
+    rows = _stage_mappings(monkeypatch)
     assert len(_READERS["t"]) == len(_READERS["lam"]) == 2
     for field in dataclasses.fields(SystemParams):
         name = field.name
-        row = _row_specs(base, name)
-
-        def check(value):
-            changes = row(value)
-            ref = dataclasses.replace(base, **{name: value})
-            assert changes[name] == value, name
-            for attr in SPECS:
-                spec = changes.get(attr, getattr(base, attr))
-                assert spec == getattr(ref, attr), (name, value, attr)
-
         default = getattr(base, name)
         values = OTHER_VALUES.get(name) or [default * k for k in (0.97, 0.98, 0.99)]
-        for value in reversed(values):
-            check(value)
-        if _READERS[name]:  # a field no spec reads is not checked by the row
-            with pytest.raises(ValueError):
-                row(math.nan)
-        check(values[1])
+        values = [*reversed(values), values[1]]
+        refs = [vars(dataclasses.replace(base, **{name: value})) for value in values]
+        cavity, lasing = rows(base, name, values)
+        assert lasing == refs, name
+        assert cavity == (refs if name in _CAVITY_FIELDS else [vars(base)]), name
+    assert vars(base).keys() == before.keys()
+    assert all(vars(base)[key] is value for key, value in before.items())
 
 
 def test_parse_units():

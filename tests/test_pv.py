@@ -235,7 +235,7 @@ def test_mppt_is_the_record_search_bit_for_bit():
     # test_link::test_mppt_just_above_threshold: mppt returns the record search's
     # point bit for bit, and that point is the public solve at its voltage
     params = SystemParams()
-    _, _, threshold = _cavity_stage(params.geometry, params.gain, params.loss, params.shg)
+    _, _, threshold = _cavity_stage(vars(params))
     near = dataclasses.replace(params, p_in=threshold * (1.0 + 1e-9))
     assert STEPS == 44
     rng = np.random.default_rng(2929)

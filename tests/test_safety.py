@@ -84,7 +84,9 @@ def test_refusals():
               "check p_in, d_e, a_g and eta_p*eta_t*eta_a")
     for change in ({"d_e": 1e-160},  # the irradiance overflows
                    {"eta_p": 1e-320},  # the safe pump power overflows
-                   {"eta_p": 5e-324, "eta_t": 5e-324}):  # the product underflows to 0
+                   {"eta_p": 5e-324, "eta_t": 5e-324},  # the product underflows to 0
+                   # alpha = 2e305 rad is finite, but not in mrad, as it is printed
+                   {"a_g": 1e150, "d_e": 1e-155, "p_in": 0.0}):
         with pytest.raises(ValueError) as refused:
             exposure(dataclasses.replace(SPEC, **change))
         assert str(refused.value) == leaves, change

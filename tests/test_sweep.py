@@ -216,14 +216,14 @@ def test_rows_match_points_built_by_replace(axis):
     ("r_m2", 0.5, 0.7, 600, False),
 ])
 def test_dark_rows_assemble_no_parameter_record(monkeypatch, axis, lo, hi, steps, lasing):
-    # only a row that lases reaches the lasing stage, and only such a row merges
-    # the base's specs with its own into the mapping that stage reads
+    # only a row that lases reaches the lasing stage, and the one mapping
+    # that stage reads holds the row's own value
     built = []
     lasing_stage = link._lasing_stage
 
-    def counting(gamma_diff, p_in, specs):
+    def counting(gamma_diff, specs):
         built.append(specs[axis])
-        return lasing_stage(gamma_diff, p_in, specs)
+        return lasing_stage(gamma_diff, specs)
 
     monkeypatch.setattr(link, "_lasing_stage", counting)
     rows = run_sweep(SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=steps, params=PARAMS))
@@ -262,7 +262,7 @@ def test_rows_rebuild_only_the_spec_that_reads_the_axis(monkeypatch, axis, rebui
 
 
 def test_run_sweep_is_repeatable():
-    # a sweep's row function reuses its argument lists within one run only
+    # a sweep reuses its mapping and argument lists within one run only
     for axis, (lo, hi) in GRIDS.items():
         spec = SweepSpec(axis=axis, vmin=lo, vmax=hi, steps=9, params=PARAMS)
         assert repr(run_sweep(spec)) == repr(run_sweep(spec)), axis
