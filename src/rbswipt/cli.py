@@ -23,22 +23,21 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simulate",
-        description="Resonant-beam charging and communication link simulator.")
-    parser.add_argument("--config", metavar="PATH",
-                        help="configuration file (key = value lines)")
-    parser.add_argument("--sweep", metavar="AXIS:MIN:MAX:STEPS",
-                        help=f"sweep one parameter; AXIS is {AXIS_RULE}")
-    parser.add_argument("--csv", metavar="PATH", help="write sweep rows as CSV")
-    parser.add_argument("--svg", metavar="PATH", help="write sweep chart as SVG")
-    parser.add_argument("--safety", action="store_true",
-                        help="print the exposure-limit report and exit")
-    parser.add_argument("--print-defaults", action="store_true",
-                        help="print the default configuration and exit")
-    return parser
+# built once: parse_args leaves a parser as it found it, and help and usage
+# read the terminal width when they are printed
+_PARSER = argparse.ArgumentParser(
+    prog="simulate",
+    description="Resonant-beam charging and communication link simulator.")
+_PARSER.add_argument("--config", metavar="PATH",
+                     help="configuration file (key = value lines)")
+_PARSER.add_argument("--sweep", metavar="AXIS:MIN:MAX:STEPS",
+                     help=f"sweep one parameter; AXIS is {AXIS_RULE}")
+_PARSER.add_argument("--csv", metavar="PATH", help="write sweep rows as CSV")
+_PARSER.add_argument("--svg", metavar="PATH", help="write sweep chart as SVG")
+_PARSER.add_argument("--safety", action="store_true",
+                     help="print the exposure-limit report and exit")
+_PARSER.add_argument("--print-defaults", action="store_true",
+                     help="print the default configuration and exit")
 
 
 def _parse_sweep_token(token: str, params) -> SweepSpec:
@@ -80,9 +79,8 @@ def _print_safety(params) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports bad usage with code 2
         return int(exc.code or 0)
 

@@ -138,15 +138,6 @@ def _scale(values: list[float], lo_px: float, hi_px: float):
     return to_px, vmin, vmax
 
 
-def _polyline(xs_px: list[str], ys: list[float], to_px, color: str) -> str:
-    """`xs_px` are formatted pixel abscissae; each distinct ordinate of `ys`
-    is mapped and formatted once."""
-    y_px = {y: f"{to_px(y):.2f}" for y in set(ys)}
-    pts = " ".join([f"{x},{y_px[y]}" for x, y in zip(xs_px, ys)])
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-            f'points="{pts}"/>')
-
-
 def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
                    axis: str = "axis") -> None:
     """Write the charging-power and rate curves as a two-series SVG chart, in place."""
@@ -188,8 +179,16 @@ def emit_plot_data(rows: list[tuple[float, LinkResult]], path: str,
         parts.append(f'<text x="{x_hi + 8}" y="{r_px(rv):.2f}" font-size="12" '
                      f'text-anchor="start" fill="#d62728">{rv:.4g}</text>')
     xs_px = [f"{x_px(v):.2f}" for v in xs]
-    parts.append(_polyline(xs_px, y_pow, p_px, "#1f77b4"))
-    parts.append(_polyline(xs_px, y_rate, r_px, "#d62728"))
+    for ys, to_px, color in ((y_pow, p_px, "#1f77b4"), (y_rate, r_px, "#d62728")):
+        # each distinct ordinate is mapped and formatted once
+        tails = {y: f",{to_px(y):.2f}" for y in set(ys)}
+        if len(tails) == 1:  # a flat curve, as all-dark rows draw: one join
+            (tail,) = tails.values()
+            pts = f"{tail} ".join(xs_px) + tail
+        else:
+            pts = " ".join([x + tails[y] for x, y in zip(xs_px, ys)])
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
+                     f'points="{pts}"/>')
     parts.append(f'<text x="{(x_lo + x_hi) / 2}" y="{_SVG_H - 15}" font-size="14" '
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="{x_lo}" y="{_MARGIN_T - 12}" font-size="14" '

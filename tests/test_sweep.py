@@ -157,16 +157,22 @@ def test_grid_is_the_numpy_grid(axis, lo, hi, steps):
 
 def test_import_path_stays_lean():
     # numpy is a test dependency only, and nothing in the package needs
-    # concurrent.futures or logging
+    # concurrent.futures or logging; the CLI builds its parser at import, so
+    # the package root, which `evaluate_link` users import, loads no argparse
     child = ("import sys\n"
              "before = set(sys.modules)\n"
-             "import rbswipt, rbswipt.cli\n"
+             "import rbswipt\n"
+             "root = set(sys.modules)\n"
+             "import rbswipt.cli\n"
+             "print(*{m.partition('.')[0] for m in root - before})\n"
              "print(*{m.partition('.')[0] for m in set(sys.modules) - before})\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = set(out.split())
-    assert "rbswipt" in loaded
+    root, loaded = (set(line.split()) for line in out.splitlines())
+    assert "rbswipt" in root
+    assert "argparse" not in root
+    assert "argparse" in loaded  # so the check above is not vacuous
     assert not loaded & {"numpy", "concurrent", "logging"}
 
 
@@ -531,7 +537,9 @@ def _lasing(k):
     # two rows and two equal results in two objects
     [link._BELOW_THRESHOLD] * 5 + [_lasing(k) for k in range(1, 9)] + [_lasing(3)] * 2
     + [link._UNSTABLE] * 4 + [_lasing(8), link._BELOW_THRESHOLD, _lasing(0.5)],
-], ids=["flat", "mixed"])
+    # lasing rows at d_eff = 0: the rate curve is flat, the power curve is not
+    [dataclasses.replace(_lasing(k), r_b=0.0) for k in range(1, 12)],
+], ids=["flat", "mixed", "flat_rate"])
 def test_writers_match_row_at_a_time_reference(tmp_path, results):
     rows = [(31.0 + 0.125 * j, r) for j, r in enumerate(results)]
     emit_csv(rows, str(tmp_path / "out.csv"))
@@ -642,6 +650,29 @@ def test_cli_writes_to_targets_that_are_not_regular_files(tmp_path, capsys):
     assert not reader.is_alive()
     assert main(["--sweep", "d:1:2:3", "--csv", str(fresh)]) == 0
     assert received == [fresh.read_bytes()]
+
+
+def test_cli_main_reuses_one_parser(tmp_path, capsys):
+    # one process, one parser: help, a usage error and a config error between
+    # two runs of one sweep leave it as it was
+    def sweep(tag):
+        csv, svg = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.svg"
+        assert main(["--sweep", "d:12.2:42.2:600", "--csv", str(csv), "--svg", str(svg)]) == 0
+        return csv.read_bytes(), svg.read_bytes()
+
+    first = sweep("first")
+    capsys.readouterr()
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    for option in ("--config", "--sweep", "--csv", "--svg", "--safety", "--print-defaults"):
+        assert option in help_text, option
+    assert main(["--no-such-option"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: simulate ")
+    assert "unrecognized arguments: --no-such-option" in err
+    assert main(["--csv", str(tmp_path / "x.csv")]) == 2  # --csv needs --sweep
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert sweep("again") == first
 
 
 def test_cli_sweep_table_to_stdout(capsys):
